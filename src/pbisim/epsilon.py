@@ -24,7 +24,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
@@ -217,6 +216,9 @@ def epsilon_bisim_exact(
             tasks.append((p1, p2, actions, m, k1s, k2cans, norm_kind, tol, action_agg))
 
     if jobs > 1 and len(tasks) > 1:
+        # imported here: it pulls in multiprocessing, which every start-up would pay for
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_scan_pairs, tasks))
     else:

@@ -3,7 +3,8 @@
 Oracles here are deliberately independent of the implementation paths they
 check: the coarsest-partition oracle enumerates every set partition, the
 simulation oracle enumerates every relation, and classification counting
-enumerates raw assignments.
+enumerates raw assignments.  ``naive_coarsest`` is the dense round-based
+signature refinement the library used before its splitter-driven one.
 """
 
 from __future__ import annotations
@@ -42,6 +43,41 @@ def brute_coarsest(pts: LabelledPTS, tol: float = 1e-9) -> Partition:
             assert len(found) == 1, f"coarsest lumpable partition not unique at m={m}"
             return classification_to_partition(found[0])
     raise AssertionError("discrete partition must always be lumpable")
+
+
+def naive_coarsest(pts: LabelledPTS, tol: float = 1e-9) -> Partition:
+    """Coarsest partition by dense signature refinement, one round at a time.
+
+    Each round splits every block by the vector of (per-action enabledness,
+    per-action mass into each current block); tolerance grouping is
+    leader-first after sorting the signatures.
+    """
+    blocks: list[list[int]] = [list(range(pts.n))]
+    while True:
+        k = np.zeros((pts.n, len(blocks)))
+        for j, b in enumerate(blocks):
+            k[b, j] = 1.0
+        sig_parts = []
+        for a in pts.actions:
+            m = pts.trans[a]
+            enabled = (m.sum(axis=1) > 0.5).astype(float)
+            sig_parts.append(enabled[:, None])
+            sig_parts.append(m @ k)
+        sig = np.hstack(sig_parts)
+
+        new_blocks: list[list[int]] = []
+        for b in blocks:
+            ordered = sorted(b, key=lambda s: tuple(sig[s]))
+            groups: list[list[int]] = []
+            for s in ordered:
+                if groups and np.all(np.abs(sig[s] - sig[groups[-1][0]]) <= tol):
+                    groups[-1].append(s)
+                else:
+                    groups.append([s])
+            new_blocks.extend(groups)
+        if len(new_blocks) == len(blocks):
+            return Partition(pts.n, tuple(frozenset(b) for b in new_blocks))
+        blocks = new_blocks
 
 
 def brute_largest_simulation(c: KripkeStructure, a: KripkeStructure) -> Relation:

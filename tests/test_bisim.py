@@ -12,9 +12,11 @@ from pbisim import (
     validate_pts,
 )
 from pbisim.errors import NotLumpableError
+from pbisim.formats import parse_pts
 from pbisim.generators import gen_planted, gen_random_pts
 
 from helpers import brute_coarsest, planted_pair
+from test_cli import run_cli
 
 
 def test_identical_states_collapse_to_one_block():
@@ -159,3 +161,42 @@ def test_merging_any_two_coarsest_blocks_breaks_lumpability():
                 relabel = {v: k for k, v in enumerate(sorted(set(merged)))}
                 c = Classification(tuple(relabel[v] for v in merged), part.m - 1)
                 assert not is_lumpable(pts, c)[0]
+
+
+# x and y differ only by a sub-tolerance mass into t2, as do d and t1.  The
+# round-based refinement sorts whole signatures, whose t2 entries put d and
+# t1 between x and y, and so splits x from y.
+RESIDUE_PTS = """\
+states: x d y t0 t1 t2
+actions: a b
+x a t0 0.5
+x a t1 0.5
+d a t2 5e-13
+d a t1 1.0
+y a t2 1e-12
+y a t0 0.5
+y a t1 0.5
+t0 b t0 1.0
+t1 a t1 1.0
+"""
+
+
+def test_sub_tolerance_residues_do_not_split_classes(tmp_path):
+    pts, names = parse_pts(RESIDUE_PTS)
+    part = coarsest_bisimulation(pts)
+    assert part == brute_coarsest(pts)
+    assert part.blocks == tuple(
+        frozenset(names.index(s) for s in b) for b in (["x", "y"], ["d", "t1"], ["t0"], ["t2"])
+    )
+
+    src = tmp_path / "residue.pts"
+    src.write_text(RESIDUE_PTS)
+    cls = tmp_path / "residue.cls"
+    cls.write_text("x 0\ny 0\nd 1\nt1 1\nt0 2\nt2 3\n")
+    q = run_cli("quotient", str(src), "--partition", str(cls))
+    assert q.returncode == 0
+    qfile = tmp_path / "q.pts"
+    qfile.write_text(q.stdout)
+    res = run_cli("bisim", str(src), str(qfile))
+    assert res.returncode == 0, res.stdout + res.stderr
+    assert "bisimilar: yes" in res.stdout

@@ -1,0 +1,170 @@
+"""Splitter-driven refinement against the dense round-based oracle.
+
+Dyadic corpora have exactly representable masses, so the two refinements
+must return the same partition.  Corpora built from 1/3 or 0.1/0.2/0.7
+probabilities carry sub-tolerance residues: there the result must be
+lumpable and no finer than the oracle's, and on small systems it must be
+the enumerated coarsest lumping.
+"""
+
+import random
+import time
+
+import numpy as np
+
+from pbisim import (
+    LabelledPTS,
+    Partition,
+    coarsest_bisimulation,
+    is_lumpable,
+    partition_to_classification,
+)
+from pbisim.generators import gen_planted, gen_random_pts
+
+from helpers import ACTIONS, brute_coarsest, naive_coarsest
+
+
+def chain(n: int) -> LabelledPTS:
+    """x0 -a-> x1 -a-> ... -a-> x(n-1), which is stuck."""
+    m = np.zeros((n, n))
+    m[np.arange(n - 1), np.arange(1, n)] = 1.0
+    return LabelledPTS(n, ("a",), {"a": m})
+
+
+def marked_cycle(n: int) -> LabelledPTS:
+    """Cycle on a in which only state 0 also enables a b self-loop."""
+    a = np.zeros((n, n))
+    a[np.arange(n), (np.arange(n) + 1) % n] = 1.0
+    b = np.zeros((n, n))
+    b[0, 0] = 1.0
+    return LabelledPTS(n, ("a", "b"), {"a": a, "b": b})
+
+
+def permuted(pts: LabelledPTS, rng: random.Random) -> tuple[LabelledPTS, list[int]]:
+    """Copy of ``pts`` in which old state ``s`` is renamed ``perm[s]``."""
+    perm = list(range(pts.n))
+    rng.shuffle(perm)
+    inv = np.argsort(perm)
+    trans = {a: pts.trans[a][np.ix_(inv, inv)] for a in pts.actions}
+    return LabelledPTS(pts.n, pts.actions, trans), perm
+
+
+def renamed(part: Partition, perm: list[int]) -> Partition:
+    return Partition(part.n, tuple(frozenset(perm[s] for s in b) for b in part.blocks))
+
+
+def dyadic_corpus():
+    rng = random.Random(11)
+    systems = []
+    for i in range(24):
+        mq = 2 + i % 6
+        q = gen_random_pts(mq, ACTIONS, 0.8, 9000 + i)
+        mult = [rng.randint(1, 6 + i % 5) for _ in range(mq)]
+        systems.append(gen_planted(q, mult, 9100 + i)[0])
+    for i in range(12):
+        systems.append(gen_random_pts(5 + 3 * i, ACTIONS, 0.6, 9200 + i))
+    for n in (1, 2, 7, 30, 60):
+        systems += [chain(n), marked_cycle(n)]
+    out = []
+    for pts in systems:
+        out.append(pts)
+        out.append(permuted(pts, rng)[0])
+    return out
+
+
+# Row shapes whose masses are not exactly representable; summed per class
+# they differ from each other by a few ulps.
+PALETTES = {
+    "thirds": [(1.0,), (1 / 3, 2 / 3), (2 / 3, 1 / 3), (1 / 3, 1 / 3, 1 / 3)],
+    "tenths": [(1.0,), (0.1, 0.2, 0.7), (0.3, 0.7), (0.7, 0.1, 0.2), (0.2, 0.1, 0.3, 0.4)],
+}
+
+
+def palette_pts(rng: random.Random, n: int, palette, density: float) -> LabelledPTS:
+    """Random system whose enabled rows put palette probabilities on distinct targets."""
+    trans = {}
+    for a in ACTIONS:
+        m = np.zeros((n, n))
+        for s in range(n):
+            if rng.random() < density:
+                row = rng.choice([r for r in palette if len(r) <= n])
+                m[s, rng.sample(range(n), len(row))] = row
+        trans[a] = m
+    return LabelledPTS(n, tuple(ACTIONS), trans)
+
+
+def palette_lift(rng: random.Random, q: LabelledPTS, mult: list[int], palette) -> LabelledPTS:
+    """Lift of ``q`` that splits each quotient mass over a block by palette shares."""
+    offsets = np.concatenate(([0], np.cumsum(mult)))
+    n = int(offsets[-1])
+    block = [j for j in range(q.n) for _ in range(mult[j])]
+    trans = {}
+    for a in q.actions:
+        m = np.zeros((n, n))
+        for u in range(n):
+            for t in np.flatnonzero(q.trans[a][block[u]]):
+                shares = rng.choice([r for r in palette if len(r) <= mult[t]])
+                members = rng.sample(range(offsets[t], offsets[t + 1]), len(shares))
+                m[u, members] = [q.trans[a][block[u], t] * w for w in shares]
+        trans[a] = m
+    return LabelledPTS(n, q.actions, trans)
+
+
+def fraction_corpus():
+    rng = random.Random(23)
+    systems = []
+    for name, palette in PALETTES.items():
+        for i in range(60):
+            systems.append(palette_pts(rng, 3 + i % 5, palette, 0.7))
+        for i in range(20):
+            q = palette_pts(rng, 2 + i % 5, palette, 0.9)
+            mult = [rng.randint(1, 4 + i % 7) for _ in range(q.n)]
+            systems.append(palette_lift(rng, q, mult, palette))
+    return systems
+
+
+def test_dyadic_corpus_matches_naive_refinement():
+    for pts in dyadic_corpus():
+        assert coarsest_bisimulation(pts) == naive_coarsest(pts)
+
+
+def test_fraction_corpus_is_lumpable_and_no_finer_than_naive():
+    rng = random.Random(5)
+    for pts in fraction_corpus():
+        part = coarsest_bisimulation(pts)
+        assert is_lumpable(pts, partition_to_classification(part))[0]
+        block_of = part.block_of()
+        for b in naive_coarsest(pts).blocks:
+            assert len({block_of[s] for s in b}) == 1
+        if pts.n <= 6:
+            assert part == brute_coarsest(pts)
+        other, perm = permuted(pts, rng)
+        assert coarsest_bisimulation(other) == renamed(part, perm)
+
+
+def test_chain_refinement_outpaces_naive_refinement():
+    pts = chain(400)
+    t0 = time.perf_counter()
+    slow = naive_coarsest(pts)
+    naive_s = time.perf_counter() - t0
+    fast_s = float("inf")
+    for _ in range(3):
+        t0 = time.perf_counter()
+        part = coarsest_bisimulation(pts)
+        fast_s = min(fast_s, time.perf_counter() - t0)
+    assert part == slow and part.m == 400
+    assert naive_s >= 30 * fast_s, (naive_s, fast_s)
+
+
+def test_negative_entries_keep_the_result_lumpable():
+    # x and y reach t only by opposite residues 1.2 * tol apart, each
+    # within tol of absent; t and u differ by enabledness.
+    a = np.zeros((4, 4))
+    a[0, 2], a[0, 3] = -6e-10, 1.0
+    a[1, 2], a[1, 3] = 6e-10, 1.0
+    b = np.zeros((4, 4))
+    b[2, 2] = 1.0
+    pts = LabelledPTS(4, ("a", "b"), {"a": a, "b": b})
+    part = coarsest_bisimulation(pts)
+    assert is_lumpable(pts, partition_to_classification(part))[0]
+    assert part == naive_coarsest(pts)
