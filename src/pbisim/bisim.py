@@ -19,13 +19,14 @@ import numpy as np
 from .core import (
     Classification,
     DEFAULT_TOL,
+    Edges,
     LabelledPTS,
     Partition,
     disjoint_union,
-    partition_to_classification,
+    edges_from_sorted,
 )
 from .errors import NotLumpableError
-from .matrices import classification_matrix, is_lumpable, lump
+from .matrices import class_masses, is_lumpable, sum_by_key
 
 
 @dataclass(frozen=True)
@@ -97,16 +98,11 @@ class _Refinement:
         self.tol = tol
         self.n_actions = len(pts.actions)
         origin, dst, prob = [], [], []
-        enabled = np.zeros((n, self.n_actions), dtype=bool)
         for i, a in enumerate(pts.actions):
-            m = pts.trans[a]
-            flat = np.flatnonzero(m != 0)
-            s, t = np.divmod(flat, n)
-            p = m.ravel()[flat]
-            origin.append(s * self.n_actions + i)
-            dst.append(t)
-            prob.append(p)
-            enabled[:, i] = np.bincount(s, weights=p, minlength=n) > 0.5
+            e = pts.edges[a]
+            origin.append(e.src() * self.n_actions + i)
+            dst.append(e.dst)
+            prob.append(e.prob)
         dst = np.concatenate(dst)
         order = np.argsort(dst, kind="stable")
         self.origin = np.concatenate(origin)[order]
@@ -115,7 +111,7 @@ class _Refinement:
         # masses at most this far from 0 count as absent
         self.absent = tol / 2 if (self.prob < 0).any() else tol
 
-        _, first = np.unique(enabled, axis=0, return_inverse=True)
+        _, first = np.unique(pts.enabled_rows().T, axis=0, return_inverse=True)
         self.block_of = first.reshape(n).astype(np.intp)
         m0 = int(self.block_of.max()) + 1
         self.size = np.zeros(n, dtype=np.intp)
@@ -228,14 +224,28 @@ class _Refinement:
         return True
 
 
+def _lumped(pts: LabelledPTS, assign: np.ndarray, m: int) -> dict[str, Edges]:
+    """Edges of ``K+ M K`` per action: each class's mass into each class,
+    summed over the class's states in ascending order, over its size."""
+    sizes = np.bincount(assign, minlength=m)
+    key, mass = class_masses(pts, assign, m)
+    action, state = np.divmod(key // m, pts.n)
+    # one total per (action, source class, target class)
+    key, total = sum_by_key((action * m + assign[state]) * m + key % m, mass)
+    action, src, dst = key // (m * m), key // m % m, key % m
+    bounds = np.searchsorted(action, np.arange(len(pts.actions) + 1))
+    return {
+        a: edges_from_sorted(m, src[lo:hi], dst[lo:hi], total[lo:hi] / sizes[src[lo:hi]])
+        for a, lo, hi in zip(pts.actions, bounds[:-1], bounds[1:])
+    }
+
+
 def quotient(pts: LabelledPTS, c: Classification, tol: float = DEFAULT_TOL) -> LabelledPTS:
     """Lump a system through a classification that must be lumpable."""
     ok, violation = is_lumpable(pts, c, tol)
     if not ok:
         raise NotLumpableError(violation)
-    k = classification_matrix(c)
-    trans = {a: lump(pts.trans[a], k) for a in pts.actions}
-    return LabelledPTS(c.m, pts.actions, trans)
+    return LabelledPTS.from_edges(c.m, pts.actions, _lumped(pts, np.asarray(c.assign), c.m))
 
 
 def are_bisimilar(
@@ -256,6 +266,5 @@ def are_bisimilar(
     block_of = part.block_of()
     k1 = Classification(tuple(block_of[:off]), part.m)
     k2 = Classification(tuple(block_of[off:]), part.m)
-    ku = classification_matrix(partition_to_classification(part))
-    q = LabelledPTS(part.m, union.actions, {a: lump(union.trans[a], ku) for a in union.actions})
+    q = LabelledPTS.from_edges(part.m, union.actions, _lumped(union, np.array(block_of), part.m))
     return True, BisimWitness(part.m, k1, k2, q)

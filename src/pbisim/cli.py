@@ -3,7 +3,9 @@
 Exit codes: 0 the computation succeeded and the checked property holds
 (for quantity-producing commands: the quantity met its threshold, e.g.
 epsilon at most --tol); 1 the computation succeeded but the property does
-not hold; 2 malformed or invalid input; 3 enumeration budget exceeded.
+not hold; 2 malformed or invalid input, including input that is not UTF-8
+text and out-of-range flags (--tol must be finite and >= 0; --budget,
+--pair-cap and --jobs must be >= 1); 3 enumeration budget exceeded.
 
 Every command prints a human summary by default and a canonical JSON
 report with --json; reports are byte-identical across runs for fixed
@@ -14,6 +16,7 @@ seeds and inputs except for the wall-time field.  File arguments accept
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
@@ -52,9 +55,19 @@ def _read(path: str) -> tuple[str, bytes]:
     return path, data
 
 
+def _decode(data: bytes) -> str:
+    """UTF-8 text of an input file; a bad byte is a ParseError on its line."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # line numbers follow str.splitlines, as the parsers count them
+        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(f"invalid UTF-8 byte 0x{data[exc.start]:02x}", line) from None
+
+
 def _load_pts(path: str, tol: float):
     name, data = _read(path)
-    pts, names = parse_pts(data.decode("utf-8"), tol)
+    pts, names = parse_pts(_decode(data), tol)
     return pts, names, input_entry(name, data)
 
 
@@ -101,7 +114,7 @@ def _cmd_quotient(args):
         inputs = [entry]
     else:
         path, data = _read(args.partition)
-        cls = parse_classification(data.decode("utf-8"), names)
+        cls = parse_classification(_decode(data), names)
         cls_source = "file"
         inputs = [entry, input_entry(path, data)]
     q = quotient(pts, cls, args.tol)
@@ -168,8 +181,8 @@ def _cmd_epsilon(args):
 def _cmd_sim_check(args):
     cpath, cdata = _read(args.concrete)
     apath, adata = _read(args.abstract)
-    c, cnames = parse_kripke(cdata.decode("utf-8"))
-    a, anames = parse_kripke(adata.decode("utf-8"))
+    c, cnames = parse_kripke(_decode(cdata))
+    a, anames = parse_kripke(_decode(adata))
     inputs = [input_entry(cpath, cdata), input_entry(apath, adata)]
     if args.largest:
         rel = largest_simulation(c, a)
@@ -186,7 +199,7 @@ def _cmd_sim_check(args):
     else:
         rpath, rdata = _read(args.relation)
         inputs.append(input_entry(rpath, rdata))
-        rel = parse_relation(rdata.decode("utf-8"), cnames, anames)
+        rel = parse_relation(_decode(rdata), cnames, anames)
         ok, cex = is_simulation(c, a, rel)
         params = {"relation": "file"}
         result = {
@@ -213,7 +226,7 @@ def _mask_names(mask: int, names) -> list[str]:
 
 def _cmd_galois_check(args):
     gpath, gdata = _read(args.spec)
-    g, cnames, anames = parse_galois(gdata.decode("utf-8"))
+    g, cnames, anames = parse_galois(_decode(gdata))
     inputs = [input_entry(gpath, gdata)]
     ok, violation = check_galois(g)
     params = {"against": bool(args.against)}
@@ -230,8 +243,8 @@ def _cmd_galois_check(args):
     if ok and args.against:
         cpath, cdata = _read(args.against[0])
         apath, adata = _read(args.against[1])
-        c, knames = parse_kripke(cdata.decode("utf-8"))
-        a, asnames = parse_kripke(adata.decode("utf-8"))
+        c, knames = parse_kripke(_decode(cdata))
+        a, asnames = parse_kripke(_decode(adata))
         inputs += [input_entry(cpath, cdata), input_entry(apath, adata)]
         if sorted(knames) != sorted(cnames):
             raise ParseError(
@@ -292,7 +305,7 @@ def _cmd_gen(args):
     elif args.kind == "planted":
         if args.quotient:
             qpath, qdata = _read(args.quotient)
-            q, _ = parse_pts(qdata.decode("utf-8"))
+            q, _ = parse_pts(_decode(qdata))
             inputs = [input_entry(qpath, qdata)]
             params.update({"kind": "planted", "quotient": "file"})
         else:
@@ -318,7 +331,7 @@ def _cmd_gen(args):
         sidecar_text = print_classification(cls)
     else:
         path, data = _read(args.input)
-        base, _ = parse_pts(data.decode("utf-8"))
+        base, _ = parse_pts(_decode(data))
         inputs = [input_entry(path, data)]
         pts = perturb(base, args.delta, args.seed)
         params.update({"kind": "perturb", "delta": args.delta})
@@ -332,6 +345,26 @@ def _cmd_gen(args):
         _write_or_none(sidecar_path, sidecar_text)
     human = text if not args.output else f"wrote {args.output}\n"
     return 0, inputs, params, result, human
+
+
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    return value
+
+
+def _at_least_one(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -349,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bisim", help="check two systems for bisimilarity")
     p.add_argument("system1")
     p.add_argument("system2")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     add_common(p)
     p.set_defaults(func=_cmd_bisim)
 
@@ -359,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     grp.add_argument("--partition", metavar="FILE", help="classification file")
     grp.add_argument("--coarsest", action="store_true",
                      help="use the coarsest bisimulation")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     add_common(p)
     p.set_defaults(func=_cmd_quotient)
 
@@ -371,14 +404,14 @@ def build_parser() -> argparse.ArgumentParser:
     grp = p.add_mutually_exclusive_group()
     grp.add_argument("--exact", action="store_true",
                      help="exhaustive minimisation (default)")
-    grp.add_argument("--budget", type=int, default=None,
+    grp.add_argument("--budget", type=_at_least_one, default=None,
                      help="hill-climbing search with this many proposals")
     p.add_argument("--seed", type=int, default=0, help="search seed")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_at_least_one, default=1,
                    help="parallel workers for exhaustive enumeration")
-    p.add_argument("--pair-cap", type=int, default=10_000_000,
+    p.add_argument("--pair-cap", type=_at_least_one, default=10_000_000,
                    help="abort exhaustive mode above this many pairs")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     add_common(p)
     p.set_defaults(func=_cmd_epsilon)
 

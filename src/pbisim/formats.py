@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Classification, DEFAULT_TOL, LabelledPTS, validate_pts
+from .core import Classification, DEFAULT_TOL, LabelledPTS, edges_from_sorted, validate_pts
 from .errors import ParseError, UnknownNameError
 from .galois import FiniteLattice, GaloisSpec, KripkeStructure, Relation
 
@@ -43,88 +43,154 @@ def _lines(text: str):
             yield lineno, line
 
 
-def _parse_prob(token: str, lineno: int) -> float:
+def _prob(token: str) -> float | None:
+    """Value of a probability token, ``None`` if it is malformed."""
     try:
         if "/" in token:
             num, den = token.split("/", 1)
             return float(num) / float(den)
         return float(token)
     except (ValueError, ZeroDivisionError):
-        raise ParseError(f"bad probability {token!r}", lineno) from None
+        return None
+
+
+def _probs(tokens: list[str]) -> tuple[list[float], list[int]]:
+    """Values of the probability tokens, and the positions of malformed ones."""
+    try:
+        return list(map(float, tokens)), []
+    except ValueError:
+        values = [_prob(t) for t in tokens]
+    bad = [i for i, v in enumerate(values) if v is None]
+    return [0.0 if v is None else v for v in values], bad
+
+
+def _lookup(table: dict[str, int], names: list[str]) -> np.ndarray:
+    """Index of every name, -1 for unknown ones."""
+    try:
+        return np.fromiter(map(table.__getitem__, names), np.int64, len(names))
+    except KeyError:
+        return np.array([table.get(t, -1) for t in names], dtype=np.int64)
 
 
 def parse_pts(text: str, tol: float = DEFAULT_TOL) -> tuple[LabelledPTS, tuple[str, ...]]:
     """Parse a system file; returns the system and its state-name table.
 
-    Runs the reactive-system validation after building the matrices, so a
-    syntactically fine file with bad row sums is still rejected.
+    Transition lines are collected as tokens and checked in bulk; the error
+    reported is the one on the earliest line, so the diagnostics are those
+    of a line-at-a-time reading.  Runs the reactive-system validation
+    after building the edge arrays, so a syntactically fine file with bad
+    row sums is still rejected.
     """
     names: list[str] | None = None
     actions: list[str] | None = None
-    triples: list[tuple[int, str, int, float, int]] = []
     index: dict[str, int] = {}
-    seen: set[tuple[int, str, int]] = set()
+    act_index: dict[str, int] = {}
+    # the transition lines' tokens, four each, in one list: a list per line
+    # kept alive would make the cyclic garbage collector rescan them all
+    tokens: list[str] = []
+    linenos: list[int] = []
+    error: ParseError | None = None  # on a line after every collected one
+    ready = False  # both header lines seen
 
-    for lineno, line in _lines(text):
-        if line.startswith("states:"):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        parts = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+        if not parts:
+            continue
+        if len(parts) == 4 and ready and not parts[0].startswith(("states:", "actions:")):
+            tokens += parts
+            linenos.append(lineno)
+        elif parts[0].startswith("states:"):
             if names is not None:
-                raise ParseError("duplicate states: line", lineno)
-            names = line[len("states:") :].split()
+                error = ParseError("duplicate states: line", lineno)
+                break
+            names = raw.split("#", 1)[0].strip()[len("states:") :].split()
             if not names:
-                raise ParseError("states: line declares no states", lineno)
+                error = ParseError("states: line declares no states", lineno)
+                break
             if len(set(names)) != len(names):
-                raise ParseError("duplicate state name", lineno)
+                error = ParseError("duplicate state name", lineno)
+                break
             index = {s: i for i, s in enumerate(names)}
-        elif line.startswith("actions:"):
+            ready = actions is not None
+        elif parts[0].startswith("actions:"):
             if actions is not None:
-                raise ParseError("duplicate actions: line", lineno)
-            actions = line[len("actions:") :].split()
+                error = ParseError("duplicate actions: line", lineno)
+                break
+            actions = raw.split("#", 1)[0].strip()[len("actions:") :].split()
             if len(set(actions)) != len(actions):
-                raise ParseError("duplicate action label", lineno)
+                error = ParseError("duplicate action label", lineno)
+                break
+            act_index = {a: i for i, a in enumerate(actions)}
+            ready = names is not None
         else:
-            parts = line.split()
             if len(parts) != 4:
-                raise ParseError(
+                error = ParseError(
                     f"expected 'src action dst prob', got {len(parts)} tokens", lineno
                 )
-            src, act, dst, prob = parts
-            if names is None or src not in index:
-                raise UnknownNameError(src, lineno)
-            if actions is None or act not in actions:
-                raise UnknownNameError(act, lineno)
-            if dst not in index:
-                raise UnknownNameError(dst, lineno)
-            key = (index[src], act, index[dst])
-            if key in seen:
-                raise ParseError(f"duplicate transition {src} {act} {dst}", lineno)
-            seen.add(key)
-            triples.append((index[src], act, index[dst], _parse_prob(prob, lineno), lineno))
+            elif names is None or parts[0] not in index:
+                error = UnknownNameError(parts[0], lineno)
+            else:
+                error = UnknownNameError(parts[1], lineno)
+            break
 
+    n = len(names) if names is not None else 0
+    count = len(linenos)
+    src = _lookup(index, tokens[0::4])
+    act = _lookup(act_index, tokens[1::4])
+    dst = _lookup(index, tokens[2::4])
+    probs, bad_prob = _probs(tokens[3::4])
+    known = (src >= 0) & (act >= 0) & (dst >= 0)
+    # one sort over (action, source, target) finds repeats and orders the edges
+    key = np.where(known, (act * n + src) * n + dst, -1 - np.arange(count))
+    order = np.argsort(key, kind="stable")
+    repeat = order[1:][key[order[1:]] == key[order[:-1]]]
+    unknown = np.flatnonzero(~known)[:1].tolist()
+    first_bad = min([count] + bad_prob[:1] + unknown + repeat.tolist())
+    if first_bad < count:
+        r, lineno = tokens[4 * first_bad : 4 * first_bad + 4], linenos[first_bad]
+        for col, table in ((0, index), (1, act_index), (2, index)):
+            if r[col] not in table:
+                raise UnknownNameError(r[col], lineno)
+        if (repeat == first_bad).any():
+            raise ParseError(f"duplicate transition {r[0]} {r[1]} {r[2]}", lineno)
+        raise ParseError(f"bad probability {r[3]!r}", lineno)
+    if error is not None:
+        raise error
     if names is None:
         raise ParseError("missing states: line", 1)
     if actions is None:
         raise ParseError("missing actions: line", 1)
 
-    n = len(names)
-    trans = {a: np.zeros((n, n)) for a in actions}
-    for s, a, t, p, _ in triples:
-        trans[a][s, t] = p
-    pts = LabelledPTS(n, tuple(actions), trans)
+    src, act, dst = src[order], act[order], dst[order]
+    prob = np.array(probs, dtype=float)[order]
+    bounds = np.searchsorted(act, np.arange(len(actions) + 1))
+    edges = {
+        a: edges_from_sorted(n, src[lo:hi], dst[lo:hi], prob[lo:hi])
+        for a, lo, hi in zip(actions, bounds[:-1], bounds[1:])
+    }
+    pts = LabelledPTS.from_edges(n, actions, edges)
     validate_pts(pts, tol)
     return pts, tuple(names)
 
 
 def print_pts(pts: LabelledPTS, names: tuple[str, ...] | None = None) -> str:
-    """Canonical text of a system; floats use shortest round-trip repr."""
+    """Canonical text of a system; floats use shortest round-trip repr.
+
+    Transitions are listed by source state, then action, then target.
+    """
     if names is None:
         names = tuple(f"s{i}" for i in range(pts.n))
     out = ["states: " + " ".join(names), "actions: " + " ".join(pts.actions)]
-    for s in range(pts.n):
-        for a in pts.actions:
-            row = pts.trans[a][s]
-            for t in range(pts.n):
-                if row[t] != 0.0:
-                    out.append(f"{names[s]} {a} {names[t]} {float(row[t])!r}")
+    row, dst, prob = pts.flat()
+    state, action = row % pts.n, row // pts.n
+    order = np.argsort(state, kind="stable")
+    acts = pts.actions
+    out += [
+        f"{names[s]} {acts[i]} {names[t]} {p!r}"
+        for s, i, t, p in zip(
+            state[order].tolist(), action[order].tolist(), dst[order].tolist(), prob[order].tolist()
+        )
+    ]
     return "\n".join(out) + "\n"
 
 

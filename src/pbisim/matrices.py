@@ -118,6 +118,47 @@ class LumpabilityViolation:
         )
 
 
+def sum_by_key(key: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct keys, ascending, and the sum of ``values`` per key.
+
+    Each sum is taken in input order, one addition at a time.
+    """
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    head = np.empty(key.size, dtype=bool)
+    head[:1] = True
+    np.not_equal(key[1:], key[:-1], out=head[1:])
+    return key[head], np.bincount(np.cumsum(head) - 1, weights=values[order])
+
+
+# Up to this many (action, state, class) triples, is_lumpable compares the
+# masses as a dense table, state by state up to the first violation; on
+# small systems this beats the sparse lookup's fixed cost of some twenty
+# array operations.
+DENSE_MASSES = 1 << 12
+
+
+def class_masses(
+    pts: LabelledPTS, assign: np.ndarray, m: int, dense: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every state's total mass into every class on every action: ``M K``.
+
+    ``assign`` maps states to the classes ``0..m-1``.  Returns ``(key,
+    mass)`` with ``key = (i * n + state) * m + class`` for the ``i``-th
+    action, ascending, one entry per triple that some edge connects; absent
+    triples have mass 0.  With ``dense``, returns ``(None, table)``, the
+    masses of all triples as an (actions, n, m) array.  Either way each
+    mass is summed over the state's edges into the class in ascending
+    target order.  O(E log E) for E edges; ``dense`` adds O(n m) per action.
+    """
+    row, dst, prob = pts.flat()
+    key = row * m + assign[dst]
+    if dense:
+        size = len(pts.actions) * pts.n * m
+        return None, np.bincount(key, weights=prob, minlength=size).reshape(-1, pts.n, m)
+    return sum_by_key(key, prob)
+
+
 def is_lumpable(
     pts: LabelledPTS, c: Classification, tol: float = DEFAULT_TOL
 ) -> tuple[bool, LumpabilityViolation | None]:
@@ -125,43 +166,78 @@ def is_lumpable(
 
     True iff for every action, all states of a class agree on whether the
     action is enabled and, when enabled, place equal total mass (within
-    ``tol``) into every class.  Returns the first violation in action /
-    block / state order, or ``None``.
+    ``tol``) into every class.  Each state is compared with its class's
+    smallest state (the lead).  Returns the first violation in action /
+    class / state order, with the first class whose masses differ, or
+    ``None``.  O(E log E) for E edges.
     """
     if c.n != pts.n:
         raise DimensionMismatchError(
             f"classification covers {c.n} states, system has {pts.n}"
         )
-    k = classification_matrix(c)
-    blocks = [sorted(b) for b in _blocks_of(c)]
-    for a in pts.actions:
-        m = pts.trans[a]
-        masses = m @ k  # per-state mass into each class
-        on = m.sum(axis=1) > 0.5
-        for block in blocks:
-            lead = block[0]
-            for s in block[1:]:
-                if on[s] != on[lead]:
-                    return False, LumpabilityViolation(
-                        a, lead, s, None,
-                        f"enabled({lead})={bool(on[lead])}, enabled({s})={bool(on[s])}",
-                    )
-                diff = np.abs(masses[s] - masses[lead])
-                bad = np.nonzero(diff > tol)[0]
-                if bad.size:
-                    j = int(bad[0])
-                    return False, LumpabilityViolation(
-                        a, lead, s, j,
-                        f"{masses[lead][j]!r} vs {masses[s][j]!r}",
-                    )
-    return True, None
-
-
-def _blocks_of(c: Classification) -> list[list[int]]:
-    out: list[list[int]] = [[] for _ in range(c.m)]
-    for s, v in enumerate(c.assign):
-        out[v].append(s)
-    return out
+    n, m = pts.n, c.m
+    if m == n:
+        return True, None  # every class is one state
+    assign = np.asarray(c.assign)
+    firsts: dict[int, int] = {}
+    lead = [firsts.setdefault(v, s) for s, v in enumerate(c.assign)]
+    on = pts.enabled_rows()
+    if on.size * m <= DENSE_MASSES:
+        # state by state in class order, up to the first violation
+        key, table = class_masses(pts, assign, m, dense=True)
+        rows, flags = table.tolist(), on.tolist()
+        order = [s for s in sorted(range(n), key=c.assign.__getitem__) if lead[s] != s]
+        i, s = next(
+            (
+                (i, s)
+                for i in range(len(pts.actions))
+                for s in order
+                if flags[i][s] != flags[i][lead[s]]
+                or any(abs(x - y) > tol for x, y in zip(rows[i][s], rows[i][lead[s]]))
+            ),
+            (None, None),
+        )
+        if i is None:
+            return True, None
+    else:
+        lead = np.array(lead)
+        key, mass = class_masses(pts, assign, m)
+        row = key // m
+        state = row % n
+        # each entry's counterpart in the lead's row; it sorts no later
+        lead_key = key + (lead[state] - state) * m
+        at = np.searchsorted(key, lead_key)
+        found = key[at] == lead_key
+        lead_mass = np.where(found, mass[at], 0.0)
+        bad = on != on[:, lead]
+        bad.reshape(-1)[row[np.abs(mass - lead_mass) > tol]] = True
+        # a state also differs where it lacks a class its lead reaches with
+        # more than tol
+        wanted = np.bincount(row[(lead[state] == state) & (np.abs(mass) > tol)], minlength=bad.size)
+        have = np.bincount(row[found & (np.abs(lead_mass) > tol)], minlength=bad.size)
+        bad |= have.reshape(-1, n) < wanted.reshape(-1, n)[:, lead]
+        hits = np.flatnonzero(bad).tolist()
+        if not hits:
+            return True, None
+        # the first violation: first action, then first class, then first state
+        i = hits[0] // n
+        s = min((h - i * n for h in hits if h < (i + 1) * n), key=c.assign.__getitem__)
+    ld = firsts[c.assign[s]]
+    a = pts.actions[i]
+    if on[i, s] != on[i, ld]:
+        return False, LumpabilityViolation(
+            a, ld, s, None,
+            f"enabled({ld})={bool(on[i, ld])}, enabled({s})={bool(on[i, s])}",
+        )
+    if key is None:
+        x, y = table[i, ld], table[i, s]
+    else:
+        x, y = np.zeros(m), np.zeros(m)
+        for out, u in ((x, ld), (y, s)):
+            lo, hi = np.searchsorted(key, [(i * n + u) * m, (i * n + u + 1) * m])
+            out[key[lo:hi] % m] = mass[lo:hi]
+    j = next(j for j, (u, v) in enumerate(zip(x.tolist(), y.tolist())) if abs(v - u) > tol)
+    return False, LumpabilityViolation(a, ld, s, j, f"{x[j]!r} vs {y[j]!r}")
 
 
 def matrix_norm(m: np.ndarray, kind: str = "op-inf") -> float:

@@ -4,7 +4,10 @@ Oracles here are deliberately independent of the implementation paths they
 check: the coarsest-partition oracle enumerates every set partition, the
 simulation oracle enumerates every relation, and classification counting
 enumerates raw assignments.  ``naive_coarsest`` is the dense round-based
-signature refinement the library used before its splitter-driven one.
+signature refinement the library used before its splitter-driven one, and
+the other ``naive_*`` functions are the dense n x n implementations of
+parsing, validation, union, lumpability and quotienting that the edge-array
+ones replaced.
 """
 
 from __future__ import annotations
@@ -25,6 +28,18 @@ from pbisim import (
     is_lumpable,
     is_simulation,
 )
+from pbisim.core import DEFAULT_TOL
+from pbisim.errors import (
+    DimensionMismatchError,
+    EmptyActionSetError,
+    NegativeEntryError,
+    NotLumpableError,
+    ParseError,
+    RowSumError,
+    UnknownNameError,
+    ValidationError,
+)
+from pbisim.matrices import LumpabilityViolation, classification_matrix, lump
 from pbisim.generators import gen_planted, gen_random_pts, perturb
 
 ACTIONS = ["a", "b"]
@@ -174,3 +189,165 @@ def acceptance_corpus():
         p1, p2 = random_pair(i)
         pairs.append((f"random{i}", p1, p2, "random", None))
     return pairs
+
+
+# --- dense oracles -----------------------------------------------------------
+
+
+def _naive_lines(text: str):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
+def _naive_parse_prob(token: str, lineno: int) -> float:
+    try:
+        if "/" in token:
+            num, den = token.split("/", 1)
+            return float(num) / float(den)
+        return float(token)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"bad probability {token!r}", lineno) from None
+
+
+def naive_parse_pts(text: str, tol: float = DEFAULT_TOL) -> tuple[LabelledPTS, tuple[str, ...]]:
+    """Line-at-a-time parse into dense n x n matrices, then dense validation."""
+    names: list[str] | None = None
+    actions: list[str] | None = None
+    triples: list[tuple[int, str, int, float, int]] = []
+    index: dict[str, int] = {}
+    seen: set[tuple[int, str, int]] = set()
+
+    for lineno, line in _naive_lines(text):
+        if line.startswith("states:"):
+            if names is not None:
+                raise ParseError("duplicate states: line", lineno)
+            names = line[len("states:") :].split()
+            if not names:
+                raise ParseError("states: line declares no states", lineno)
+            if len(set(names)) != len(names):
+                raise ParseError("duplicate state name", lineno)
+            index = {s: i for i, s in enumerate(names)}
+        elif line.startswith("actions:"):
+            if actions is not None:
+                raise ParseError("duplicate actions: line", lineno)
+            actions = line[len("actions:") :].split()
+            if len(set(actions)) != len(actions):
+                raise ParseError("duplicate action label", lineno)
+        else:
+            parts = line.split()
+            if len(parts) != 4:
+                raise ParseError(
+                    f"expected 'src action dst prob', got {len(parts)} tokens", lineno
+                )
+            src, act, dst, prob = parts
+            if names is None or src not in index:
+                raise UnknownNameError(src, lineno)
+            if actions is None or act not in actions:
+                raise UnknownNameError(act, lineno)
+            if dst not in index:
+                raise UnknownNameError(dst, lineno)
+            key = (index[src], act, index[dst])
+            if key in seen:
+                raise ParseError(f"duplicate transition {src} {act} {dst}", lineno)
+            seen.add(key)
+            triples.append((index[src], act, index[dst], _naive_parse_prob(prob, lineno), lineno))
+
+    if names is None:
+        raise ParseError("missing states: line", 1)
+    if actions is None:
+        raise ParseError("missing actions: line", 1)
+
+    n = len(names)
+    trans = {a: np.zeros((n, n)) for a in actions}
+    for s, a, t, p, _ in triples:
+        trans[a][s, t] = p
+    pts = LabelledPTS(n, tuple(actions), trans)
+    naive_validate_pts(pts, tol)
+    return pts, tuple(names)
+
+
+def naive_validate_pts(pts: LabelledPTS, tol: float = DEFAULT_TOL) -> None:
+    """Row-by-row check of the dense matrices."""
+    if pts.n < 1:
+        raise ValidationError("state count must be >= 1")
+    if not pts.actions:
+        raise EmptyActionSetError()
+    for a in pts.actions:
+        m = pts.trans[a]
+        if not np.all(np.isfinite(m)):
+            raise ValidationError(f"non-finite entry in action {a!r}")
+        for s in range(pts.n):
+            row = m[s]
+            bad = np.nonzero(row < -tol)[0]
+            if bad.size:
+                raise NegativeEntryError(s, a, float(row[bad[0]]))
+            total = float(row.sum())
+            if abs(total) > tol and abs(total - 1.0) > tol:
+                raise RowSumError(s, a, total)
+
+
+def naive_disjoint_union(p1: LabelledPTS, p2: LabelledPTS) -> tuple[LabelledPTS, int]:
+    """Block-diagonal union built as dense n x n matrices."""
+    actions = list(p1.actions) + [a for a in p2.actions if a not in p1.actions]
+    n = p1.n + p2.n
+    trans = {}
+    for a in actions:
+        m = np.zeros((n, n))
+        if a in p1.trans:
+            m[: p1.n, : p1.n] = p1.trans[a]
+        if a in p2.trans:
+            m[p1.n :, p1.n :] = p2.trans[a]
+        trans[a] = m
+    return LabelledPTS(n, tuple(actions), trans), p1.n
+
+
+def _naive_blocks_of(c: Classification) -> list[list[int]]:
+    out: list[list[int]] = [[] for _ in range(c.m)]
+    for s, v in enumerate(c.assign):
+        out[v].append(s)
+    return out
+
+
+def naive_is_lumpable(
+    pts: LabelledPTS, c: Classification, tol: float = DEFAULT_TOL
+) -> tuple[bool, LumpabilityViolation | None]:
+    """Lumpability from the dense per-state masses ``M K``."""
+    if c.n != pts.n:
+        raise DimensionMismatchError(
+            f"classification covers {c.n} states, system has {pts.n}"
+        )
+    k = classification_matrix(c)
+    blocks = [sorted(b) for b in _naive_blocks_of(c)]
+    for a in pts.actions:
+        m = pts.trans[a]
+        masses = m @ k  # per-state mass into each class
+        on = m.sum(axis=1) > 0.5
+        for block in blocks:
+            lead = block[0]
+            for s in block[1:]:
+                if on[s] != on[lead]:
+                    return False, LumpabilityViolation(
+                        a, lead, s, None,
+                        f"enabled({lead})={bool(on[lead])}, enabled({s})={bool(on[s])}",
+                    )
+                diff = np.abs(masses[s] - masses[lead])
+                bad = np.nonzero(diff > tol)[0]
+                if bad.size:
+                    j = int(bad[0])
+                    return False, LumpabilityViolation(
+                        a, lead, s, j,
+                        f"{masses[lead][j]!r} vs {masses[s][j]!r}",
+                    )
+    return True, None
+
+
+def naive_quotient(pts: LabelledPTS, c: Classification, tol: float = DEFAULT_TOL) -> LabelledPTS:
+    """Dense ``K+ M K`` of every action, after the dense lumpability check."""
+    ok, violation = naive_is_lumpable(pts, c, tol)
+    if not ok:
+        raise NotLumpableError(violation)
+    k = classification_matrix(c)
+    trans = {a: lump(pts.trans[a], k) for a in pts.actions}
+    return LabelledPTS(c.m, pts.actions, trans)

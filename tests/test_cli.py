@@ -244,3 +244,72 @@ def test_full_pipeline_via_files_and_stdin(tmp_path):
     final = run_cli("bisim", lift_file, q_file)
     assert final.returncode == 0
     assert "bisimilar: yes" in final.stdout
+
+
+BAD_BYTES = b"# comment\nstates: s0 \xff\n"  # invalid UTF-8 on line 2
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["bisim", "{bad}", "{pts}"],
+        ["bisim", "{pts}", "{bad}"],
+        ["quotient", "{bad}", "--coarsest"],
+        ["quotient", "{pts}", "--partition", "{bad}"],
+        ["epsilon", "{pts}", "{bad}"],
+        ["sim-check", "{bad}", "{kripke}", "--largest"],
+        ["sim-check", "{kripke}", "{kripke}", "--relation", "{bad}"],
+        ["galois-check", "{bad}"],
+        ["galois-check", "{galois}", "--against", "{kripke}", "{bad}"],
+        ["gen", "planted", "--quotient", "{bad}", "--multiplicities", "1", "--seed", "1"],
+        ["gen", "perturb", "{bad}", "--delta", "0.1", "--seed", "1"],
+    ],
+)
+def test_non_utf8_input_exits_two_with_line_number(tmp_path, command):
+    paths = {
+        "bad": tmp_path / "bad.txt",
+        "pts": tmp_path / "ok.pts",
+        "kripke": tmp_path / "ok.kripke",
+        "galois": tmp_path / "ok.galois",
+    }
+    paths["bad"].write_bytes(BAD_BYTES)
+    paths["pts"].write_text("states: s0\nactions: a\ns0 a s0 1\n")
+    paths["kripke"].write_text("states: c0\nc0 -> c0\n")
+    paths["galois"].write_text("abstract: top\nalpha: c0 top\n")
+    res = run_cli(*[arg.format(**paths) for arg in command])
+    assert res.returncode == 2
+    assert res.stderr == "error: line 2: invalid UTF-8 byte 0xff\n"
+
+
+@pytest.fixture()
+def one_state(tmp_path):
+    return write(tmp_path, "one.pts", "states: s0\nactions: a\ns0 a s0 1\n")
+
+
+def test_tol_must_be_finite_and_non_negative(one_state):
+    for command in ("bisim", "epsilon"):
+        for value in ("nan", "-1", "inf"):
+            res = run_cli(command, one_state, one_state, "--tol", value)
+            assert res.returncode == 2
+            assert "argument --tol: must be finite and >= 0" in res.stderr
+    assert run_cli("quotient", one_state, "--coarsest", "--tol", "-1e-9").returncode == 2
+    assert run_cli("bisim", one_state, one_state, "--tol", "0").returncode == 0
+
+
+def test_budget_must_be_positive(one_state):
+    for value in ("-5", "0"):
+        res = run_cli("epsilon", one_state, one_state, "--budget", value)
+        assert res.returncode == 2
+        assert "argument --budget: must be >= 1" in res.stderr
+
+
+def test_pair_cap_must_be_positive(one_state):
+    res = run_cli("epsilon", one_state, one_state, "--pair-cap", "0")
+    assert res.returncode == 2
+    assert "argument --pair-cap: must be >= 1" in res.stderr
+
+
+def test_jobs_must_be_positive(one_state):
+    res = run_cli("epsilon", one_state, one_state, "--jobs", "0")
+    assert res.returncode == 2
+    assert "argument --jobs: must be >= 1" in res.stderr
