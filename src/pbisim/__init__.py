@@ -2,8 +2,8 @@
 
 Library surface:
 
-* :mod:`pbisim.core` -- labelled probabilistic transition systems,
-  partitions and classifications.
+* :mod:`pbisim.core` -- labelled probabilistic transition systems and
+  state classifications.
 * :mod:`pbisim.matrices` -- classification matrices, Moore-Penrose
   pseudo-inverses, lumping and norms.
 * :mod:`pbisim.bisim` -- coarsest bisimulation, quotients and two-system
@@ -23,10 +23,7 @@ from .bisim import BisimWitness, are_bisimilar, coarsest_bisimulation, quotient
 from .core import (
     Classification,
     LabelledPTS,
-    Partition,
-    classification_to_partition,
     disjoint_union,
-    partition_to_classification,
     validate_pts,
 )
 from .epsilon import (
@@ -66,13 +63,11 @@ __all__ = [
     "GaloisSpec",
     "KripkeStructure",
     "LabelledPTS",
-    "Partition",
     "Relation",
     "are_bisimilar",
     "check_abstraction_basis",
     "check_galois",
     "classification_matrix",
-    "classification_to_partition",
     "coarsest_bisimulation",
     "disjoint_union",
     "enumerate_classifications",
@@ -87,7 +82,6 @@ __all__ = [
     "largest_simulation",
     "lump",
     "matrix_norm",
-    "partition_to_classification",
     "penrose_check",
     "perturb",
     "pseudo_inverse",

@@ -21,11 +21,10 @@ from .core import (
     DEFAULT_TOL,
     Edges,
     LabelledPTS,
-    Partition,
     disjoint_union,
     edges_from_sorted,
 )
-from .errors import NotLumpableError
+from .errors import NotLumpableError, ValidationError
 from .matrices import class_masses, is_lumpable, sum_by_key
 
 
@@ -44,12 +43,14 @@ class BisimWitness:
     quotient: LabelledPTS
 
 
-def coarsest_bisimulation(pts: LabelledPTS, tol: float = DEFAULT_TOL) -> Partition:
-    """Coarsest partition whose classes are probabilistically bisimilar.
+def coarsest_bisimulation(pts: LabelledPTS, tol: float = DEFAULT_TOL) -> Classification:
+    """Coarsest classification whose classes are probabilistically bisimilar.
 
     Equivalently, the coarsest strongly lumpable partition: within a class
     all states enable the same actions and place equal mass (within
-    ``tol``) into every class.
+    ``tol``) into every class.  The result is canonical: classes are
+    numbered in order of their smallest state, so ``assign`` is a
+    restricted-growth string.
 
     Refinement starts from the partition by per-action enabledness and
     works through a queue of splitter blocks, a batch at a time.  For each
@@ -74,14 +75,19 @@ def coarsest_bisimulation(pts: LabelledPTS, tol: float = DEFAULT_TOL) -> Partiti
     partition that may be finer than necessary.
     """
     if pts.n == 0:
-        return Partition(0, ())
+        raise ValidationError("state count must be >= 1")
     ref = _Refinement(pts, tol)
     while True:
         while ref.queue:
             batch, ref.queue = ref.queue, []
             ref.split_by(batch)
         if not ref.split_by(list(range(len(ref.members)))):
-            return Partition(pts.n, tuple(frozenset(b) for b in ref.members))
+            break
+    # number the blocks in order of their first state
+    _, first, block = np.unique(ref.block_of, return_index=True, return_inverse=True)
+    rank = np.empty(first.size, dtype=np.intp)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return Classification(tuple(rank[block].tolist()), first.size)
 
 
 class _Refinement:
@@ -255,16 +261,16 @@ def are_bisimilar(
 
     The two systems are bisimilar iff every class of the coarsest
     bisimulation of their disjoint union contains states from both sides.
-    On success the union partition is split back into per-system
+    On success the union classification is split back into per-system
     classifications whose quotients coincide.
     """
     union, off = disjoint_union(p1, p2)
-    part = coarsest_bisimulation(union, tol)
-    for b in part.blocks:
-        if min(b) >= off or max(b) < off:
-            return False, None
-    block_of = part.block_of()
-    k1 = Classification(tuple(block_of[:off]), part.m)
-    k2 = Classification(tuple(block_of[off:]), part.m)
-    q = LabelledPTS.from_edges(part.m, union.actions, _lumped(union, np.array(block_of), part.m))
-    return True, BisimWitness(part.m, k1, k2, q)
+    c = coarsest_bisimulation(union, tol)
+    assign = np.asarray(c.assign)
+    if not (np.bincount(assign[:off], minlength=c.m).all()
+            and np.bincount(assign[off:], minlength=c.m).all()):
+        return False, None
+    k1 = Classification(c.assign[:off], c.m)
+    k2 = Classification(c.assign[off:], c.m)
+    q = LabelledPTS.from_edges(c.m, union.actions, _lumped(union, assign, c.m))
+    return True, BisimWitness(c.m, k1, k2, q)

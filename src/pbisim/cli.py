@@ -5,7 +5,9 @@ Exit codes: 0 the computation succeeded and the checked property holds
 epsilon at most --tol); 1 the computation succeeded but the property does
 not hold; 2 malformed or invalid input, including input that is not UTF-8
 text and out-of-range flags (--tol must be finite and >= 0; --budget,
---pair-cap and --jobs must be >= 1); 3 enumeration budget exceeded.
+--pair-cap and --jobs must be >= 1); 3 enumeration budget exceeded; 4
+internal error (any other exception, such as running out of memory),
+reported with its traceback on standard error.
 
 Every command prints a human summary by default and a canonical JSON
 report with --json; reports are byte-identical across runs for fixed
@@ -19,10 +21,11 @@ import argparse
 import math
 import sys
 import time
+import traceback
 
 from . import __version__
 from .bisim import are_bisimilar, coarsest_bisimulation, quotient
-from .core import DEFAULT_TOL, partition_to_classification
+from .core import DEFAULT_TOL
 from .epsilon import (
     epsilon_bisim_exact,
     epsilon_bisim_search,
@@ -109,7 +112,7 @@ def _cmd_bisim(args):
 def _cmd_quotient(args):
     pts, names, entry = _load_pts(args.system, args.tol)
     if args.coarsest:
-        cls = partition_to_classification(coarsest_bisimulation(pts, args.tol))
+        cls = coarsest_bisimulation(pts, args.tol)
         cls_source = "coarsest"
         inputs = [entry]
     else:
@@ -472,19 +475,22 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.monotonic()
     try:
-        code, inputs, params, result, human = args.func(args)
+        code, inputs, params, result, out = args.func(args)
+        if args.json:
+            wall = time.monotonic() - started
+            command = args.command if args.command != "gen" else f"gen-{args.kind}"
+            out = report_json(make_report(command, inputs, params, result, wall))
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except PbisimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    wall = time.monotonic() - started
-    if args.json:
-        command = args.command if args.command != "gen" else f"gen-{args.kind}"
-        sys.stdout.write(report_json(make_report(command, inputs, params, result, wall)))
-    else:
-        sys.stdout.write(human)
+    except Exception as exc:
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return 4
+    sys.stdout.write(out)
     return code
 
 

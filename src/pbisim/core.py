@@ -1,5 +1,5 @@
-"""Core domain types: labelled probabilistic transition systems, partitions
-and classifications.
+"""Core domain types: labelled probabilistic transition systems and state
+classifications.
 
 A system stores each action label's transitions as CSR edge arrays
 (``Edges``): row ``s`` holds the targets ``dst[indptr[s]:indptr[s + 1]]``
@@ -136,20 +136,11 @@ class LabelledPTS:
             self._dense = dense
         return self._dense
 
-    def matrix(self, action: str) -> np.ndarray:
-        return self.trans[action]
-
     def matrix_or_zero(self, action: str) -> np.ndarray:
         """Matrix for ``action``, or an all-zero matrix if the label is absent."""
         if action in self.edges:
             return self.trans[action]
         return np.zeros((self.n, self.n))
-
-    def enabled(self, action: str) -> np.ndarray:
-        """Boolean mask of states in which ``action`` is enabled."""
-        if action not in self.edges:
-            return np.zeros(self.n, dtype=bool)
-        return self.enabled_rows()[self.actions.index(action)]
 
     def enabled_rows(self) -> np.ndarray:
         """Whether the ``i``-th action is enabled in state ``s`` (row sum
@@ -180,44 +171,15 @@ class LabelledPTS:
 
 
 @dataclass(frozen=True)
-class Partition:
-    """Partition of ``0..n-1`` into disjoint non-empty blocks.
-
-    Blocks are stored in canonical order: sorted by their smallest member.
-    """
-
-    n: int
-    blocks: tuple[frozenset[int], ...]
-
-    def __post_init__(self):
-        blocks = tuple(sorted((frozenset(b) for b in self.blocks), key=min))
-        object.__setattr__(self, "blocks", blocks)
-        seen: set[int] = set()
-        for b in blocks:
-            if not b:
-                raise ValidationError("empty block")
-            if seen & b:
-                raise ValidationError("blocks overlap")
-            seen |= b
-        if seen != set(range(self.n)):
-            raise ValidationError(f"blocks do not cover 0..{self.n - 1}")
-
-    @property
-    def m(self) -> int:
-        return len(self.blocks)
-
-    def block_of(self) -> list[int]:
-        """Per-state block index, following canonical block order."""
-        out = [0] * self.n
-        for j, b in enumerate(self.blocks):
-            for s in b:
-                out[s] = j
-        return out
-
-
-@dataclass(frozen=True)
 class Classification:
-    """Surjective assignment of states to class indices ``0..m-1``."""
+    """Surjective assignment of states to class indices ``0..m-1``.
+
+    This is the paper's classification matrix K: the partition of the
+    states into classes, with the classes numbered.  It is canonical when
+    classes are numbered in order of their smallest state, so that
+    ``assign`` is a restricted-growth string; equal partitions then have
+    equal canonical classifications.
+    """
 
     assign: tuple[int, ...]
     m: int
@@ -240,10 +202,6 @@ class Classification:
     @property
     def n(self) -> int:
         return len(self.assign)
-
-    def relabeled(self, sigma: Sequence[int]) -> "Classification":
-        """Apply the class permutation ``sigma`` (old index -> new index)."""
-        return Classification(tuple(sigma[v] for v in self.assign), self.m)
 
 
 def validate_pts(pts: LabelledPTS, tol: float = DEFAULT_TOL) -> None:
@@ -283,20 +241,6 @@ def validate_pts(pts: LabelledPTS, tol: float = DEFAULT_TOL) -> None:
             total = float(row.sum())
             if abs(total) > tol and abs(total - 1.0) > tol:
                 raise RowSumError(s, a, total)
-
-
-def partition_to_classification(p: Partition) -> Classification:
-    return Classification(tuple(p.block_of()), p.m)
-
-
-def classification_to_partition(c: Classification) -> Partition:
-    members: list[set[int]] = [set() for _ in range(c.m)]
-    for s, v in enumerate(c.assign):
-        members[v].add(s)
-    for j, b in enumerate(members):
-        if not b:
-            raise NonSurjectiveError(j)
-    return Partition(c.n, tuple(frozenset(b) for b in members))
 
 
 def disjoint_union(p1: LabelledPTS, p2: LabelledPTS) -> tuple[LabelledPTS, int]:

@@ -31,7 +31,7 @@ from typing import Iterator
 import numpy as np
 
 from .bisim import coarsest_bisimulation
-from .core import Classification, DEFAULT_TOL, LabelledPTS, partition_to_classification
+from .core import Classification, DEFAULT_TOL, LabelledPTS
 from .errors import BudgetExceededError, ClassCountMismatchError, InvalidRangeError
 from .matrices import classification_matrix, is_lumpable, lump, matrix_norm
 
@@ -286,8 +286,8 @@ def epsilon_bisim_search(
     if p1.n == p2.n:
         disc = Classification(tuple(range(p1.n)), p1.n)
         seeds.append((disc, Classification(tuple(range(p2.n)), p2.n)))
-    c1_coarse = partition_to_classification(coarsest_bisimulation(p1, tol))
-    c2_coarse = partition_to_classification(coarsest_bisimulation(p2, tol))
+    c1_coarse = coarsest_bisimulation(p1, tol)
+    c2_coarse = coarsest_bisimulation(p2, tol)
     if c1_coarse.m == c2_coarse.m:
         seeds.append((c1_coarse, c2_coarse))
     seeds.append(

@@ -174,12 +174,6 @@ class FiniteLattice:
     def meet(self, x: int, y: int) -> int:
         return int(self.meet_table[x, y])
 
-    def join_all(self, elems: Iterable[int]) -> int:
-        acc = self.bottom
-        for e in elems:
-            acc = self.join(acc, e)
-        return acc
-
 
 @dataclass(frozen=True)
 class GaloisSpec:

@@ -21,9 +21,7 @@ from pbisim import (
     Classification,
     KripkeStructure,
     LabelledPTS,
-    Partition,
     Relation,
-    classification_to_partition,
     enumerate_classifications,
     is_lumpable,
     is_simulation,
@@ -45,7 +43,14 @@ from pbisim.generators import gen_planted, gen_random_pts, perturb
 ACTIONS = ["a", "b"]
 
 
-def brute_coarsest(pts: LabelledPTS, tol: float = 1e-9) -> Partition:
+def canonical(assign) -> Classification:
+    """Classification of ``assign`` with classes renumbered by first occurrence."""
+    relabel: dict[int, int] = {}
+    canon = tuple(relabel.setdefault(int(v), len(relabel)) for v in assign)
+    return Classification(canon, len(relabel))
+
+
+def brute_coarsest(pts: LabelledPTS, tol: float = 1e-9) -> Classification:
     """Coarsest lumpable partition by enumeration of all set partitions.
 
     Asserts that the partition with the minimal block count is unique.
@@ -56,11 +61,11 @@ def brute_coarsest(pts: LabelledPTS, tol: float = 1e-9) -> Partition:
         ]
         if found:
             assert len(found) == 1, f"coarsest lumpable partition not unique at m={m}"
-            return classification_to_partition(found[0])
+            return found[0]
     raise AssertionError("discrete partition must always be lumpable")
 
 
-def naive_coarsest(pts: LabelledPTS, tol: float = 1e-9) -> Partition:
+def naive_coarsest(pts: LabelledPTS, tol: float = 1e-9) -> Classification:
     """Coarsest partition by dense signature refinement, one round at a time.
 
     Each round splits every block by the vector of (per-action enabledness,
@@ -91,7 +96,11 @@ def naive_coarsest(pts: LabelledPTS, tol: float = 1e-9) -> Partition:
                     groups.append([s])
             new_blocks.extend(groups)
         if len(new_blocks) == len(blocks):
-            return Partition(pts.n, tuple(frozenset(b) for b in new_blocks))
+            block_of = [0] * pts.n
+            for j, b in enumerate(new_blocks):
+                for s in b:
+                    block_of[s] = j
+            return canonical(block_of)
         blocks = new_blocks
 
 
@@ -110,15 +119,8 @@ def brute_canonical_classifications(n: int, m: int) -> set[tuple[int, ...]]:
     """All surjective assignments, deduplicated by first-occurrence relabeling."""
     out = set()
     for assign in itertools.product(range(m), repeat=n):
-        if len(set(assign)) != m:
-            continue
-        relabel: dict[int, int] = {}
-        canon = []
-        for v in assign:
-            if v not in relabel:
-                relabel[v] = len(relabel)
-            canon.append(relabel[v])
-        out.add(tuple(canon))
+        if len(set(assign)) == m:
+            out.add(canonical(assign).assign)
     return out
 
 

@@ -7,11 +7,10 @@ from pbisim import (
     are_bisimilar,
     coarsest_bisimulation,
     is_lumpable,
-    partition_to_classification,
     quotient,
     validate_pts,
 )
-from pbisim.errors import NotLumpableError
+from pbisim.errors import NotLumpableError, ValidationError
 from pbisim.formats import parse_pts
 from pbisim.generators import gen_planted, gen_random_pts
 
@@ -22,12 +21,12 @@ from test_cli import run_cli
 def test_identical_states_collapse_to_one_block():
     row = [0.25, 0.75, 0.0]
     pts = LabelledPTS(3, ("a",), {"a": [row, row, row]})
-    assert coarsest_bisimulation(pts).blocks == (frozenset({0, 1, 2}),)
+    assert coarsest_bisimulation(pts) == Classification((0, 0, 0), 1)
 
 
 def test_enabledness_separates_states():
     pts = LabelledPTS(2, ("a",), {"a": [[1.0, 0.0], [0.0, 0.0]]})
-    assert coarsest_bisimulation(pts).blocks == (frozenset({0}), frozenset({1}))
+    assert coarsest_bisimulation(pts) == Classification((0, 1), 2)
 
 
 def test_coarsest_on_planted_lift():
@@ -38,10 +37,15 @@ def test_coarsest_on_planted_lift():
     lift, cls = gen_planted(q, [3, 3, 3], 77)
     part = coarsest_bisimulation(lift)
     assert part == brute_coarsest(lift)
-    assert partition_to_classification(part) == cls
-    lumped = quotient(lift, partition_to_classification(part))
+    assert part == cls
+    lumped = quotient(lift, part)
     for a in q.actions:
         assert np.allclose(lumped.trans[a], q.trans[a], atol=1e-9)
+
+
+def test_coarsest_rejects_an_empty_system():
+    with pytest.raises(ValidationError, match="state count must be >= 1"):
+        coarsest_bisimulation(LabelledPTS(0, ("a",), {"a": np.zeros((0, 0))}))
 
 
 def test_coarsest_matches_brute_force_small_corpus():
@@ -53,7 +57,7 @@ def test_coarsest_matches_brute_force_small_corpus():
 def test_coarsest_output_is_lumpable():
     for seed in range(6):
         pts = gen_random_pts(5, ["a", "b"], 0.7, 7100 + seed)
-        c = partition_to_classification(coarsest_bisimulation(pts))
+        c = coarsest_bisimulation(pts)
         assert is_lumpable(pts, c)[0]
 
 
@@ -136,14 +140,14 @@ def test_witness_quotients_agree():
 def test_bisimilar_to_own_coarsest_quotient():
     for seed in range(6):
         pts = gen_random_pts(5, ["a", "b"], 0.7, 8200 + seed)
-        c = partition_to_classification(coarsest_bisimulation(pts))
+        c = coarsest_bisimulation(pts)
         assert are_bisimilar(pts, quotient(pts, c))[0]
 
 
 def test_quotient_of_coarsest_is_minimal():
     for seed in range(6):
         pts = gen_random_pts(5, ["a", "b"], 0.7, 8300 + seed)
-        c = partition_to_classification(coarsest_bisimulation(pts))
+        c = coarsest_bisimulation(pts)
         q = quotient(pts, c)
         assert coarsest_bisimulation(q).m == q.n  # discrete: nothing left to merge
 
@@ -154,7 +158,7 @@ def test_merging_any_two_coarsest_blocks_breaks_lumpability():
         part = coarsest_bisimulation(pts)
         if part.m == 1:
             continue
-        base = part.block_of()
+        base = part.assign
         for i in range(part.m):
             for j in range(i + 1, part.m):
                 merged = [v if v != j else i for v in base]
@@ -185,9 +189,7 @@ def test_sub_tolerance_residues_do_not_split_classes(tmp_path):
     pts, names = parse_pts(RESIDUE_PTS)
     part = coarsest_bisimulation(pts)
     assert part == brute_coarsest(pts)
-    assert part.blocks == tuple(
-        frozenset(names.index(s) for s in b) for b in (["x", "y"], ["d", "t1"], ["t0"], ["t2"])
-    )
+    assert dict(zip(names, part.assign)) == {"x": 0, "d": 1, "y": 0, "t0": 2, "t1": 1, "t2": 3}
 
     src = tmp_path / "residue.pts"
     src.write_text(RESIDUE_PTS)

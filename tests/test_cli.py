@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from pbisim import cli
 from pbisim.formats import parse_pts, print_classification, print_pts
 from pbisim.generators import gen_planted, gen_random_pts, perturb
 
@@ -313,3 +314,33 @@ def test_jobs_must_be_positive(one_state):
     res = run_cli("epsilon", one_state, one_state, "--jobs", "0")
     assert res.returncode == 2
     assert "argument --jobs: must be >= 1" in res.stderr
+
+
+@pytest.mark.parametrize("exc", [MemoryError("parse buffer"), RuntimeError("boom")])
+def test_unexpected_exception_exits_four(one_state, monkeypatch, capsys, exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "parse_pts", fail)
+    assert cli.main(["quotient", one_state, "--coarsest", "--json"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: internal error: {type(exc).__name__}: {exc}\n")
+    assert "Traceback (most recent call last)" in err
+
+
+@pytest.mark.parametrize("seed", [3, 8, 21])
+def test_coarsest_quotient_is_idempotent(tmp_path, seed):
+    lift = run_cli(
+        "gen", "planted", "--quotient-states", "4", "--actions", "a,b",
+        "--density", "0.7", "--multiplicities", "3,1,2,2", "--seed", str(seed),
+    )
+    first = run_cli("quotient", "-", "--coarsest", "--json", stdin=lift.stdout)
+    assert first.returncode == 0
+    once = json.loads(first.stdout)["result"]
+    second = run_cli("quotient", "-", "--coarsest", "--json", stdin=once["quotient_pts"])
+    assert second.returncode == 0
+    twice = json.loads(second.stdout)["result"]
+    assert twice["quotient_pts"] == once["quotient_pts"]
+    assert twice["classes"] == once["classes"]
+    assert twice["classification"] == {f"c{j}": j for j in range(once["classes"])}

@@ -4,10 +4,8 @@ import pytest
 from pbisim import (
     Classification,
     LabelledPTS,
-    Partition,
-    classification_to_partition,
+    coarsest_bisimulation,
     disjoint_union,
-    partition_to_classification,
     validate_pts,
 )
 from pbisim.errors import (
@@ -15,7 +13,6 @@ from pbisim.errors import (
     NegativeEntryError,
     NonSurjectiveError,
     RowSumError,
-    ValidationError,
 )
 from pbisim.generators import gen_random_pts
 
@@ -57,60 +54,30 @@ def test_row_sum_tolerance():
         validate_pts(pts, tol=1e-10)
 
 
-def test_partition_to_classification_pairs_blocks():
-    p = Partition(3, (frozenset({0, 1}), frozenset({2})))
-    c = partition_to_classification(p)
+def test_coarsest_classification_pairs_blocks():
+    pts = LabelledPTS(3, ("a",), {"a": [[0, 0, 1], [0, 0, 1], [0, 0, 0]]})
+    c = coarsest_bisimulation(pts)
     assert c.assign == (0, 0, 1)
     assert c.m == 2
 
 
-def test_partition_to_classification_discrete():
-    p = Partition(3, (frozenset({0}), frozenset({1}), frozenset({2})))
-    c = partition_to_classification(p)
+def test_coarsest_classification_discrete():
+    pts = LabelledPTS(3, ("a",), {"a": [[0, 1, 0], [0, 0, 1], [0, 0, 0]]})
+    c = coarsest_bisimulation(pts)
     assert c.assign == (0, 1, 2)
     assert c.m == 3
 
 
-def test_partition_canonical_order_independence():
-    a = Partition(3, (frozenset({2}), frozenset({0, 1})))
-    b = Partition(3, (frozenset({0, 1}), frozenset({2})))
-    assert a == b
-    assert partition_to_classification(a) == partition_to_classification(b)
-
-
-def test_classification_to_partition():
-    c = Classification((0, 0, 1), 2)
-    p = classification_to_partition(c)
-    assert p.blocks == (frozenset({0, 1}), frozenset({2}))
-
-
-def test_classification_to_partition_identity():
-    c = Classification((0, 1, 2), 3)
-    assert classification_to_partition(c).blocks == (
-        frozenset({0}),
-        frozenset({1}),
-        frozenset({2}),
-    )
-
-
-def test_classification_relabeling_canonicalises():
-    c = Classification((1, 0), 2)
-    p = classification_to_partition(c)
-    assert p.blocks == (frozenset({0}), frozenset({1}))
-    # canonical numbering follows smallest member, relabeling the classes
-    assert partition_to_classification(p).assign == (0, 1)
+def test_coarsest_numbers_classes_by_smallest_state():
+    # refinement starts from blocks by enabledness, which put the disabled
+    # state 1 first; the result still numbers state 0's class 0
+    pts = LabelledPTS(3, ("a",), {"a": [[0, 0, 1], [0, 0, 0], [0, 0, 1]]})
+    assert coarsest_bisimulation(pts).assign == (0, 1, 0)
 
 
 def test_classification_rejects_empty_class():
     with pytest.raises(NonSurjectiveError):
         Classification((0, 0), 2)
-
-
-def test_partition_rejects_overlap_and_gap():
-    with pytest.raises(ValidationError):
-        Partition(2, (frozenset({0, 1}), frozenset({1})))
-    with pytest.raises(ValidationError):
-        Partition(3, (frozenset({0, 1}),))
 
 
 @pytest.mark.parametrize("n1,n2", [(1, 1), (2, 3)])
@@ -148,22 +115,3 @@ def test_disjoint_union_validates():
         p2 = gen_random_pts(4, ["b", "c"], 0.6, seed + 100)
         u, _ = disjoint_union(p1, p2)
         validate_pts(u, 1e-9)
-
-
-def test_round_trip_partition_classification():
-    for seed in range(20):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(1, 8))
-        m = int(rng.integers(1, n + 1))
-        assign = list(rng.integers(0, m, size=n))
-        for j in range(m):  # force surjectivity
-            assign[j % n] = j if n >= m else assign[j % n]
-        if len(set(assign)) != m:
-            assign = (list(range(m)) + list(rng.integers(0, m, size=n - m)))[:n]
-        c = Classification(tuple(assign), m)
-        p = classification_to_partition(c)
-        back = partition_to_classification(p)
-        # identical up to canonical class relabeling: block structure agrees
-        assert classification_to_partition(back) == p
-        # and canonical partitions round-trip exactly
-        assert partition_to_classification(classification_to_partition(back)) == back

@@ -23,7 +23,6 @@ from pbisim import (
     coarsest_bisimulation,
     disjoint_union,
     is_lumpable,
-    partition_to_classification,
     quotient,
     validate_pts,
 )
@@ -61,7 +60,7 @@ FRACTION = with_permutations(fraction_corpus(), 31)
 
 def classifications(pts, rng):
     """Lumpable and non-lumpable classifications of ``pts``."""
-    coarsest = partition_to_classification(coarsest_bisimulation(pts))
+    coarsest = coarsest_bisimulation(pts)
     out = [coarsest, Classification((0,) * pts.n, 1)]
     if coarsest.m >= 2:
         # merge two coarsest classes: usually a mass violation
@@ -192,9 +191,9 @@ def test_bisimilarity_witness_matches_dense_lumping():
         ok, witness = are_bisimilar(pts, other)
         assert ok
         union, _ = naive_disjoint_union(pts, other)
-        part = coarsest_bisimulation(union)
-        k = classification_matrix(partition_to_classification(part))
-        dense = LabelledPTS(part.m, union.actions, {a: lump(union.trans[a], k) for a in union.actions})
+        c = coarsest_bisimulation(union)
+        k = classification_matrix(c)
+        dense = LabelledPTS(c.m, union.actions, {a: lump(union.trans[a], k) for a in union.actions})
         assert witness.quotient == dense
 
 

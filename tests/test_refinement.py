@@ -13,15 +13,14 @@ import time
 import numpy as np
 
 from pbisim import (
+    Classification,
     LabelledPTS,
-    Partition,
     coarsest_bisimulation,
     is_lumpable,
-    partition_to_classification,
 )
 from pbisim.generators import gen_planted, gen_random_pts
 
-from helpers import ACTIONS, brute_coarsest, naive_coarsest
+from helpers import ACTIONS, brute_coarsest, canonical, naive_coarsest
 
 
 def chain(n: int) -> LabelledPTS:
@@ -49,8 +48,11 @@ def permuted(pts: LabelledPTS, rng: random.Random) -> tuple[LabelledPTS, list[in
     return LabelledPTS(pts.n, pts.actions, trans), perm
 
 
-def renamed(part: Partition, perm: list[int]) -> Partition:
-    return Partition(part.n, tuple(frozenset(perm[s] for s in b) for b in part.blocks))
+def renamed(c: Classification, perm: list[int]) -> Classification:
+    assign = [0] * c.n
+    for s, v in enumerate(c.assign):
+        assign[perm[s]] = v
+    return canonical(assign)
 
 
 def dyadic_corpus():
@@ -132,14 +134,23 @@ def test_fraction_corpus_is_lumpable_and_no_finer_than_naive():
     rng = random.Random(5)
     for pts in fraction_corpus():
         part = coarsest_bisimulation(pts)
-        assert is_lumpable(pts, partition_to_classification(part))[0]
-        block_of = part.block_of()
-        for b in naive_coarsest(pts).blocks:
-            assert len({block_of[s] for s in b}) == 1
+        assert is_lumpable(pts, part)[0]
+        naive = naive_coarsest(pts)
+        # each of the oracle's classes lies within one class of the result
+        assert len(set(zip(naive.assign, part.assign))) == naive.m
         if pts.n <= 6:
             assert part == brute_coarsest(pts)
         other, perm = permuted(pts, rng)
         assert coarsest_bisimulation(other) == renamed(part, perm)
+
+
+def test_coarsest_classification_is_a_restricted_growth_string():
+    for pts in dyadic_corpus() + fraction_corpus():
+        assign = coarsest_bisimulation(pts).assign
+        seen = 0
+        for v in assign:
+            assert v <= seen
+            seen = max(seen, v + 1)
 
 
 def test_chain_refinement_outpaces_naive_refinement():
@@ -166,5 +177,5 @@ def test_negative_entries_keep_the_result_lumpable():
     b[2, 2] = 1.0
     pts = LabelledPTS(4, ("a", "b"), {"a": a, "b": b})
     part = coarsest_bisimulation(pts)
-    assert is_lumpable(pts, partition_to_classification(part))[0]
+    assert is_lumpable(pts, part)[0]
     assert part == naive_coarsest(pts)
