@@ -7,7 +7,9 @@ enumerates raw assignments.  ``naive_coarsest`` is the dense round-based
 signature refinement the library used before its splitter-driven one, and
 the other ``naive_*`` functions are the dense n x n implementations of
 parsing, validation, union, lumpability and quotienting that the edge-array
-ones replaced.
+ones replaced.  On the simulation and Galois side, ``naive_*`` are the
+per-element loops (successor scans, pair sweeps until stable, per-pair
+lattice bounds, per-subset powerset checks) that the array code replaced.
 """
 
 from __future__ import annotations
@@ -28,15 +30,18 @@ from pbisim import (
 )
 from pbisim.core import DEFAULT_TOL
 from pbisim.errors import (
+    CarrierTooLargeError,
     DimensionMismatchError,
     EmptyActionSetError,
     NegativeEntryError,
+    NotALatticeError,
     NotLumpableError,
     ParseError,
     RowSumError,
     UnknownNameError,
     ValidationError,
 )
+from pbisim.galois import DEFAULT_CONCRETE_CAP, GaloisSpec, GaloisViolation
 from pbisim.matrices import LumpabilityViolation, classification_matrix, lump
 from pbisim.generators import gen_planted, gen_random_pts, perturb
 
@@ -353,3 +358,210 @@ def naive_quotient(pts: LabelledPTS, c: Classification, tol: float = DEFAULT_TOL
     k = classification_matrix(c)
     trans = {a: lump(pts.trans[a], k) for a in pts.actions}
     return LabelledPTS(c.m, pts.actions, trans)
+
+
+# --- simulation and Galois side: the per-element loops the array code replaced
+
+
+def naive_successors(k: KripkeStructure, s: int) -> tuple[int, ...]:
+    """Successors of ``s`` by a scan of the whole edge set."""
+    return tuple(sorted(b for a, b in k.edges if a == s))
+
+
+def naive_is_simulation(
+    c: KripkeStructure, a: KripkeStructure, r: Relation
+) -> tuple[bool, tuple[int, int, int] | None]:
+    """Step-matching check pair by pair, in sorted order."""
+    for cs, as_ in sorted(r.pairs):
+        for ct in naive_successors(c, cs):
+            if not any((ct, at) in r.pairs for at in naive_successors(a, as_)):
+                return False, (cs, as_, ct)
+    return True, None
+
+
+def naive_largest_simulation(c: KripkeStructure, a: KripkeStructure) -> Relation:
+    """Greatest fixpoint by sweeping all pairs, deleting violations, until stable."""
+    pairs = set((i, j) for i in range(c.n) for j in range(a.n))
+    changed = True
+    while changed:
+        changed = False
+        for cs, as_ in sorted(pairs):
+            ok = all(
+                any((ct, at) in pairs for at in naive_successors(a, as_))
+                for ct in naive_successors(c, cs)
+            )
+            if not ok:
+                pairs.discard((cs, as_))
+                changed = True
+    return Relation(frozenset(pairs))
+
+
+def naive_lattice_tables(size: int, leq) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """(join table, meet table, top, bottom) of the order generated by ``leq``.
+
+    Raises the same errors, with the same messages, as ``FiniteLattice``.
+    """
+    if size < 1:
+        raise NotALatticeError("carrier must be non-empty")
+    mat = np.zeros((size, size), dtype=bool)
+    for x, y in leq:
+        if not (0 <= x < size and 0 <= y < size):
+            raise ValidationError(f"leq pair ({x}, {y}) out of range")
+        mat[x, y] = True
+    for i in range(size):
+        mat[i, i] = True
+    # transitive closure (Warshall)
+    for k in range(size):
+        mat |= np.outer(mat[:, k], mat[k, :])
+    for i in range(size):
+        for j in range(i + 1, size):
+            if mat[i, j] and mat[j, i]:
+                raise NotALatticeError(
+                    f"antisymmetry fails: elements {i} and {j} are mutually ordered"
+                )
+
+    def bound(i: int, j: int, upper: bool) -> int:
+        if upper:
+            cands = [u for u in range(size) if mat[i, u] and mat[j, u]]
+            least = [u for u in cands if all(mat[u, v] for v in cands)]
+        else:
+            cands = [u for u in range(size) if mat[u, i] and mat[u, j]]
+            least = [u for u in cands if all(mat[v, u] for v in cands)]
+        if len(least) != 1:
+            kind = "join" if upper else "meet"
+            raise NotALatticeError(f"elements {i} and {j} have no {kind}")
+        return least[0]
+
+    join_table = np.zeros((size, size), dtype=int)
+    meet_table = np.zeros((size, size), dtype=int)
+    for i in range(size):
+        for j in range(size):
+            join_table[i, j] = bound(i, j, upper=True)
+            meet_table[i, j] = bound(i, j, upper=False)
+
+    def fold(table: np.ndarray) -> int:
+        acc = 0
+        for i in range(1, size):
+            acc = int(table[acc, i])
+        return acc
+
+    return join_table, meet_table, fold(join_table), fold(meet_table)
+
+
+def naive_alpha_join_table(g: GaloisSpec, cap: int = DEFAULT_CONCRETE_CAP) -> list[int]:
+    """Abstraction of every subset, one bitmask at a time by its lowest state."""
+    if g.concrete_n > cap:
+        raise CarrierTooLargeError(g.concrete_n, cap)
+    size = 1 << g.concrete_n
+    table = [g.lattice.bottom] * size
+    for mask in range(1, size):
+        low = (mask & -mask).bit_length() - 1
+        table[mask] = g.lattice.join(table[mask & (mask - 1)], g.alpha_singleton[low])
+    return table
+
+
+def _naive_derived_gamma(g: GaloisSpec, table) -> list[int]:
+    out = []
+    for e in range(g.lattice.size):
+        mask = 0
+        for c in range(g.concrete_n):
+            if g.lattice.leq(table[1 << c], e):
+                mask |= 1 << c
+        out.append(mask)
+    return out
+
+
+def naive_check_galois(
+    g: GaloisSpec, alpha_table=None, cap: int = DEFAULT_CONCRETE_CAP
+) -> tuple[bool, GaloisViolation | None]:
+    """Adjunction conditions checked subset by subset and element by element."""
+    if g.concrete_n > cap:
+        raise CarrierTooLargeError(g.concrete_n, cap)
+    size = 1 << g.concrete_n
+    if alpha_table is None:
+        table = naive_alpha_join_table(g, cap)
+    else:
+        table = list(alpha_table)
+        if len(table) != size:
+            raise ValidationError(f"alpha table has {len(table)} entries, expected {size}")
+        for e in table:
+            if not 0 <= e < g.lattice.size:
+                raise ValidationError(f"alpha table entry {e} is not a lattice element")
+
+    for mask in range(size):
+        for c in range(g.concrete_n):
+            if mask & (1 << c):
+                continue
+            if not g.lattice.leq(table[mask], table[mask | (1 << c)]):
+                return False, GaloisViolation("alpha-monotone", (mask, mask | (1 << c)))
+
+    gamma = _naive_derived_gamma(g, table)
+    for e in range(g.lattice.size):
+        for f in range(g.lattice.size):
+            if g.lattice.leq(e, f) and gamma[e] & ~gamma[f]:
+                return False, GaloisViolation("gamma-monotone", (e, f))
+
+    for mask in range(size):
+        if mask & ~gamma[table[mask]]:
+            return False, GaloisViolation("gamma-alpha", (mask,))
+
+    for e in range(g.lattice.size):
+        if not g.lattice.leq(table[gamma[e]], e):
+            return False, GaloisViolation("alpha-gamma", (e,))
+
+    return True, None
+
+
+def naive_induced_relation(g: GaloisSpec, element_filter=None, cap: int = DEFAULT_CONCRETE_CAP):
+    """Pairs (subset bitmask, element) with alpha(S) below the element, in loop order."""
+    table = naive_alpha_join_table(g, cap)
+    elems = sorted(element_filter) if element_filter is not None else range(g.lattice.size)
+    return [
+        (mask, e)
+        for mask in range(1 << g.concrete_n)
+        for e in elems
+        if g.lattice.leq(table[mask], e)
+    ]
+
+
+def naive_check_abstraction_basis(
+    c: KripkeStructure,
+    a: KripkeStructure,
+    g: GaloisSpec,
+    state_of_element=None,
+    cap: int = DEFAULT_CONCRETE_CAP,
+) -> tuple[bool, tuple[int, int] | None]:
+    """Strongest-post basis check subset by subset, element by element."""
+    if state_of_element is None:
+        if a.n != g.lattice.size:
+            raise ValidationError(
+                f"abstract structure has {a.n} states but the lattice has "
+                f"{g.lattice.size} elements; provide state_of_element"
+            )
+        state_of_element = list(range(g.lattice.size))
+    table = naive_alpha_join_table(g, cap)
+    post_of_state = [0] * g.concrete_n
+    for x, y in c.edges:
+        post_of_state[x] |= 1 << y
+
+    for mask in range(1 << g.concrete_n):
+        post = 0
+        rest = mask
+        while rest:
+            low = (rest & -rest).bit_length() - 1
+            post |= post_of_state[low]
+            rest &= rest - 1
+        if post == 0:
+            continue
+        target = table[post]
+        for e in range(g.lattice.size):
+            if not g.lattice.leq(table[mask], e):
+                continue
+            matched = any(
+                g.lattice.leq(target, elem)
+                for elem in range(g.lattice.size)
+                if (state_of_element[e], state_of_element[elem]) in a.edges
+            )
+            if not matched:
+                return False, (mask, e)
+    return True, None

@@ -63,6 +63,20 @@ def test_counterexample_is_lexicographically_smallest():
     assert cex == (0, 0, 1)
 
 
+@pytest.mark.parametrize(
+    "pairs, named",
+    [({(0, 7)}, "(0, 7)"), ({(5, 0)}, "(5, 0)"), ({(-1, 0)}, "(-1, 0)"),
+     ({(0, 0), (2, 2), (1, 2)}, "(1, 2)")],
+)
+def test_relation_pairs_out_of_range_are_rejected(pairs, named):
+    # a.n == 2, c.n == 2: the smallest out-of-range pair is named
+    c = KripkeStructure(2, frozenset({(0, 1)}), frozenset())
+    a = KripkeStructure(2, frozenset({(0, 1)}), frozenset())
+    with pytest.raises(ValidationError) as err:
+        is_simulation(c, a, Relation(frozenset(pairs)))
+    assert str(err.value) == f"relation pair {named} out of range"
+
+
 def test_largest_single_state_no_edges():
     one = KripkeStructure(1, frozenset(), frozenset())
     assert largest_simulation(one, one).pairs == {(0, 0)}
@@ -294,6 +308,20 @@ def test_basis_fails_without_abstract_edges():
     ok, cex = check_abstraction_basis(c, a, g)
     assert not ok
     assert cex == (0b01, 1)  # subset {c0} below top, no matched step
+
+
+@pytest.mark.parametrize(
+    "state_of_element, message",
+    [([0], "has 1 entries, expected 2"), ([0, 2], r"state_of_element\[1\] = 2 is not"),
+     ([-1, 0], r"state_of_element\[0\] = -1 is not")],
+)
+def test_basis_rejects_a_bad_state_of_element(state_of_element, message):
+    lat = FiniteLattice(2, [(0, 1)])
+    g = GaloisSpec(2, lat, (1, 1))
+    c = KripkeStructure(2, frozenset({(0, 1)}), frozenset())
+    a = KripkeStructure(2, frozenset({(1, 1)}), frozenset())
+    with pytest.raises(ValidationError, match=message):
+        check_abstraction_basis(c, a, g, state_of_element)
 
 
 def test_basis_requires_matching_sizes():

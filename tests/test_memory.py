@@ -78,3 +78,18 @@ def test_50k_states_run_in_one_gib(tmp_path):
     assert res.returncode == 0, res.stderr[-2000:]
     result = json.loads(res.stdout)["result"]
     assert result["bisimilar"] and result["classes"] == classes
+
+
+def test_relation_check_on_50k_declared_states_runs_in_one_gib(tmp_path):
+    # a dense 50,000 x 50,000 relation or successor matrix needs 2.5-10 GB;
+    # the check only needs the related states and their successors
+    n = 50_000
+    ring = "\n".join(f"x{i} -> x{(i + 1) % n}" for i in range(0, n, 97))
+    c = tmp_path / "c.kripke"
+    c.write_text("states: " + " ".join(f"x{i}" for i in range(n)) + "\n" + ring + "\n")
+    rel = tmp_path / "r.rel"
+    rel.write_text("x0 x0\nx1 x0\nx97 x1\n")
+
+    res = run_limited("sim-check", str(c), str(c), "--relation", str(rel), "--json")
+    assert res.returncode == 1, res.stderr[-2000:]
+    assert json.loads(res.stdout)["result"]["counterexample"] == ["x0", "x0", "x1"]

@@ -1,0 +1,120 @@
+"""Results must not depend on how states are named or ordered in the files.
+
+Each test writes inputs, runs ``pbisim.cli.main`` with ``--json``, then
+permutes and renames states and compares the reports up to that renaming.
+"""
+
+import json
+import random
+
+from pbisim import KripkeStructure, cli
+from pbisim.formats import print_kripke
+
+from helpers import random_kripke
+
+
+def relabelled(k: KripkeStructure, names, rng: random.Random, prefix: str):
+    """``k`` with its states in a random order and renamed; and old -> new names."""
+    order = list(range(k.n))
+    rng.shuffle(order)  # order[i] is the old state printed at position i
+    where = {old: i for i, old in enumerate(order)}
+    moved = KripkeStructure(
+        k.n,
+        frozenset((where[x], where[y]) for x, y in k.edges),
+        frozenset(where[s] for s in k.marked),
+    )
+    new_names = tuple(f"{prefix}{names[old]}" for old in order)
+    return moved, new_names, {names[old]: new_names[i] for i, old in enumerate(order)}
+
+
+def run(tmp_path, capsys, command, files):
+    """Write ``files`` and run ``command(paths) + ["--json"]``: (exit code, result)."""
+    paths = []
+    for name, text in files:
+        (tmp_path / name).write_text(text)
+        paths.append(str(tmp_path / name))
+    code = cli.main([*command(paths), "--json"])
+    return code, json.loads(capsys.readouterr().out)["result"]
+
+
+def largest(paths):
+    return ["sim-check", *paths, "--largest"]
+
+
+def against(paths):
+    return ["galois-check", paths[0], "--against", *paths[1:]]
+
+
+def test_largest_simulation_is_invariant_under_renaming(tmp_path, capsys):
+    partial = 0
+    for seed in range(8):
+        rng = random.Random(seed)
+        c = random_kripke(rng, rng.randint(3, 14), rng.choice([0.1, 0.2, 0.35]))
+        a = random_kripke(rng, rng.randint(3, 14), rng.choice([0.1, 0.2, 0.35]))
+        cnames = tuple(f"c{i}" for i in range(c.n))
+        anames = tuple(f"a{i}" for i in range(a.n))
+        code, base = run(tmp_path, capsys, largest, [
+            ("c.kripke", print_kripke(c, cnames)), ("a.kripke", print_kripke(a, anames)),
+        ])
+        c2, cnames2, cmap = relabelled(c, cnames, rng, "x")
+        a2, anames2, amap = relabelled(a, anames, rng, "y")
+        code2, moved = run(tmp_path, capsys, largest, [
+            ("c.kripke", print_kripke(c2, cnames2)), ("a.kripke", print_kripke(a2, anames2)),
+        ])
+        assert code == code2 == 0
+        renamed = {(cmap[x], amap[y]) for x, y in base["relation"]}
+        assert renamed == {tuple(p) for p in moved["relation"]}
+        partial += 0 < len(renamed) < c.n * a.n
+    assert partial >= 4
+
+
+def spec_text(size: int, leq, alpha, element, state) -> str:
+    lines = ["abstract: " + " ".join(element(e) for e in range(size))]
+    lines += [f"leq: {element(x)} <= {element(y)}" for x, y in leq]
+    lines += [f"alpha: {state(c)} {element(e)}" for c, e in enumerate(alpha)]
+    return "\n".join(lines) + "\n"
+
+
+def test_galois_check_is_invariant_under_renaming(tmp_path, capsys):
+    # diamond-of-diamonds lattice: the powerset of 3 bits
+    size = 8
+    leq = [(x, x | 1 << i) for x in range(size) for i in range(3) if not x >> i & 1]
+    verdicts = set()
+    for seed in range(10):
+        rng = random.Random(seed)
+        n = rng.randint(2, 6)
+        alpha = [rng.randrange(size) for _ in range(n)]
+        conc = random_kripke(rng, n, 0.3)
+        p = rng.choice([0.3, 0.6])
+        abstract = KripkeStructure(
+            size + 2,
+            frozenset((x, y) for x in range(size + 2) for y in range(size + 2) if rng.random() < p),
+            frozenset(),
+        )
+        snames = tuple(f"g{i}" for i in range(n))
+        enames = tuple(f"e{e}" for e in range(size)) + ("u0", "u1")
+        base_files = [
+            ("g.galois", spec_text(size, leq, alpha, enames.__getitem__, snames.__getitem__)),
+            ("c.kripke", print_kripke(conc, snames)),
+            ("a.kripke", print_kripke(abstract, enames)),
+        ]
+        code, base = run(tmp_path, capsys, against, base_files)
+        verdicts.add(base["basis"])
+
+        # the abstract structure alone, reordered: even the witness stays
+        a2, anames2, _ = relabelled(abstract, enames, rng, "")
+        files = base_files[:2] + [("a.kripke", print_kripke(a2, anames2))]
+        assert run(tmp_path, capsys, against, files) == (code, base)
+
+        # the concrete structure reordered and every name changed everywhere
+        c2, snames2, smap = relabelled(conc, snames, rng, "s_")
+        a3, anames3, emap = relabelled(abstract, enames, rng, "t_")
+        files = [
+            ("g.galois", spec_text(size, leq, alpha, lambda e: emap[enames[e]],
+                                   lambda c: smap[snames[c]])),
+            ("c.kripke", print_kripke(c2, snames2)),
+            ("a.kripke", print_kripke(a3, anames3)),
+        ]
+        code3, moved = run(tmp_path, capsys, against, files)
+        assert (code3, moved["galois"], moved["basis"]) == (code, base["galois"], base["basis"])
+    assert verdicts == {True, False}
