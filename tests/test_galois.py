@@ -234,7 +234,7 @@ def test_derived_gamma_is_unique_adjoint():
     table = alpha_join_table(g)
     from pbisim.galois import _derived_gamma
 
-    derived = _derived_gamma(g, table)
+    derived = _derived_gamma(g, table).tolist()
     valid = []
     for cand in itertools.product(range(4), repeat=lat.size):
         if any(

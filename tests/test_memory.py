@@ -82,7 +82,8 @@ def test_50k_states_run_in_one_gib(tmp_path):
 
 def test_relation_check_on_50k_declared_states_runs_in_one_gib(tmp_path):
     # a dense 50,000 x 50,000 relation or successor matrix needs 2.5-10 GB;
-    # the check only needs the related states and their successors
+    # the check only needs the related pairs and their steps, also when
+    # every state is related
     n = 50_000
     ring = "\n".join(f"x{i} -> x{(i + 1) % n}" for i in range(0, n, 97))
     c = tmp_path / "c.kripke"
@@ -93,3 +94,8 @@ def test_relation_check_on_50k_declared_states_runs_in_one_gib(tmp_path):
     res = run_limited("sim-check", str(c), str(c), "--relation", str(rel), "--json")
     assert res.returncode == 1, res.stderr[-2000:]
     assert json.loads(res.stdout)["result"]["counterexample"] == ["x0", "x0", "x1"]
+
+    rel.write_text("".join(f"x{i} x{i}\n" for i in range(n)))
+    res = run_limited("sim-check", str(c), str(c), "--relation", str(rel), "--json")
+    assert res.returncode == 0, res.stderr[-2000:]
+    assert json.loads(res.stdout)["result"]["simulation"] is True
