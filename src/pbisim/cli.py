@@ -4,8 +4,8 @@ Exit codes: 0 the computation succeeded and the checked property holds
 (for quantity-producing commands: the quantity met its threshold, e.g.
 epsilon at most --tol); 1 the computation succeeded but the property does
 not hold; 2 malformed or invalid input, including input that is not UTF-8
-text and out-of-range flags (--tol must be finite and >= 0; --budget,
---pair-cap and --jobs must be >= 1); 3 enumeration budget exceeded; 4
+text and out-of-range flags (--tol must be finite and >= 0; --budget
+and --pair-cap must be >= 1); 3 enumeration budget exceeded; 4
 internal error (any other exception, such as running out of memory),
 reported with its traceback on standard error.
 
@@ -147,15 +147,11 @@ def _cmd_epsilon(args):
             "tol": args.tol,
         }
     else:
-        res = epsilon_bisim_exact(
-            p1, p2, norm_kind=args.norm, tol=args.tol,
-            budget=args.pair_cap, jobs=args.jobs,
-        )
+        res = epsilon_bisim_exact(p1, p2, norm_kind=args.norm, tol=args.tol, budget=args.pair_cap)
         params = {
             "mode": "exact",
             "norm": args.norm,
             "pair_cap": args.pair_cap,
-            "jobs": args.jobs,
             "tol": args.tol,
         }
     finite = res.epsilon != float("inf")
@@ -410,8 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     grp.add_argument("--budget", type=_at_least_one, default=None,
                      help="hill-climbing search with this many proposals")
     p.add_argument("--seed", type=int, default=0, help="search seed")
-    p.add_argument("--jobs", type=_at_least_one, default=1,
-                   help="parallel workers for exhaustive enumeration")
     p.add_argument("--pair-cap", type=_at_least_one, default=10_000_000,
                    help="abort exhaustive mode above this many pairs")
     p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)

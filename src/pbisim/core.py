@@ -8,11 +8,10 @@ target), exact zeros left out.  Memory is O(n + E) for n states and E
 transitions, and validation, union, lumpability and quotienting run in
 O(n + E) (plus sorting).  An empty row means the action is not enabled in
 that state (reactive-system convention: a transition is either a full
-distribution or absent).  The dense n x n matrix per action (``trans``) is a
-read-only view derived from the edges on first use and cached; only
-small-n code (approximate bisimilarity) reads it.  Every value here is
-immutable after construction and every operation is a pure function, so
-instances can be shared freely between threads.
+distribution or absent).  No dense n x n matrix is kept: code that needs
+one for a small system (approximate bisimilarity) builds it from the edges.
+Every value here is immutable after construction and every operation is a
+pure function, so instances can be shared freely between threads.
 """
 
 from __future__ import annotations
@@ -64,13 +63,12 @@ class LabelledPTS:
     Attributes:
         n: number of states, indexed ``0..n-1``.
         actions: ordered action alphabet.
-        edges: CSR ``Edges`` per action; the stored form.
-        trans: dense view, a read-only matrix per action with
-            ``trans[a][s, t]`` the probability of moving from ``s`` to ``t``
-            on action ``a``; built from ``edges`` on first use and cached.
+        edges: CSR ``Edges`` per action, the only stored form.
 
-    The constructor takes a matrix (or nested sequence) per action, as the
-    generators and tests write systems; ``from_edges`` takes CSR arrays.
+    The constructor takes a matrix (or nested sequence) per action, with
+    ``trans[a][s, t]`` the probability of moving from ``s`` to ``t`` on
+    action ``a``, for small systems written by hand; ``from_edges`` takes
+    CSR arrays, as the parser and generators build them.
     """
 
     def __init__(self, n: int, actions: Sequence[str], trans: Mapping[str, object]):
@@ -102,12 +100,8 @@ class LabelledPTS:
         self.n = n
         self.actions = actions
         self.edges = edges
-        self._dense: dict[str, np.ndarray] | None = None
         self._flat: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._on: np.ndarray | None = None
-
-    def __reduce__(self):
-        return type(self).from_edges, (self.n, self.actions, self.edges)
 
     def flat(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """All actions' edges as ``(row, dst, prob)``, cached.
@@ -123,24 +117,6 @@ class LabelledPTS:
                 np.concatenate([np.zeros(0)] + [e.prob for e in edges]),
             )
         return self._flat
-
-    @property
-    def trans(self) -> Mapping[str, np.ndarray]:
-        if self._dense is None:
-            dense = {}
-            for a, e in self.edges.items():
-                m = np.zeros((self.n, self.n))
-                m[e.src(), e.dst] = e.prob
-                m.setflags(write=False)
-                dense[a] = m
-            self._dense = dense
-        return self._dense
-
-    def matrix_or_zero(self, action: str) -> np.ndarray:
-        """Matrix for ``action``, or an all-zero matrix if the label is absent."""
-        if action in self.edges:
-            return self.trans[action]
-        return np.zeros((self.n, self.n))
 
     def enabled_rows(self) -> np.ndarray:
         """Whether the ``i``-th action is enabled in state ``s`` (row sum

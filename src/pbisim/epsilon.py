@@ -1,8 +1,8 @@
 """Approximate bisimilarity as a minimised lumped-matrix distance.
 
 Two systems are compared by classifying each into the same number of
-classes, lumping both, and taking a matrix norm of the difference,
-aggregated over the union action alphabet.  The reported epsilon is the
+classes, lumping both, and taking the largest per-action matrix norm of
+the difference over the union action alphabet.  The reported epsilon is the
 minimum of that distance over admissible classification pairs; epsilon 0
 coincides exactly with probabilistic bisimilarity.
 
@@ -15,8 +15,10 @@ distance function itself (``epsilon_distance``) stays unrestricted and can
 be evaluated on any classification pair of equal class count.
 
 The exact minimiser enumerates canonical set partitions (restricted growth
-strings) of one side against all class relabelings of the other; a seeded
-hill-climbing search provides upper bounds when enumeration is too large.
+strings) of one side against all class relabelings of the other, in one
+serial scan; a seeded hill-climbing search provides upper bounds when
+enumeration is too large.  Both lump through the paper's ``K+ M K`` on
+dense per-action matrices, which each call builds once from the edges.
 """
 
 from __future__ import annotations
@@ -108,18 +110,35 @@ def _union_actions(p1: LabelledPTS, p2: LabelledPTS) -> tuple[str, ...]:
     return tuple(p1.actions) + tuple(a for a in p2.actions if a not in p1.actions)
 
 
-def _lumped_family(pts: LabelledPTS, c: Classification, actions) -> np.ndarray:
+def _dense(pts: LabelledPTS, actions) -> list[np.ndarray]:
+    """Matrix per action of ``actions``, all zero where ``pts`` lacks the label."""
+    mats = []
+    for a in actions:
+        m = np.zeros((pts.n, pts.n))
+        if a in pts.edges:
+            e = pts.edges[a]
+            m[e.src(), e.dst] = e.prob
+        mats.append(m)
+    return mats
+
+
+def _lumped_family(mats: list[np.ndarray], c: Classification) -> np.ndarray:
     k = classification_matrix(c)
-    return np.stack([lump(pts.matrix_or_zero(a), k) for a in actions])
+    return np.stack([lump(m, k) for m in mats])
 
 
-def _family_distance(f1: np.ndarray, f2: np.ndarray, norm_kind: str, agg: str) -> float:
-    per_action = [matrix_norm(f1[i] - f2[i], norm_kind) for i in range(f1.shape[0])]
-    if agg == "max":
-        return max(per_action)
-    if agg == "sum":
-        return float(sum(per_action))
-    raise ValueError(f"unknown action aggregation {agg!r}; expected 'max' or 'sum'")
+def _family_distance(f1: np.ndarray, f2: np.ndarray, norm_kind: str) -> float:
+    return max(matrix_norm(f1[i] - f2[i], norm_kind) for i in range(f1.shape[0]))
+
+
+def _result(best, norm_kind: str, method: str, optimal: bool) -> EpsilonResult:
+    """Result for the best candidate ``(epsilon, m, k1 assign, k2 assign)``, or none."""
+    if best is None:
+        return EpsilonResult(math.inf, None, None, norm_kind, method, optimal)
+    eps, m, a1, a2 = best
+    return EpsilonResult(
+        eps, Classification(a1, m), Classification(a2, m), norm_kind, method, optimal
+    )
 
 
 def epsilon_distance(
@@ -128,54 +147,19 @@ def epsilon_distance(
     k1: Classification,
     k2: Classification,
     norm_kind: str = "op-inf",
-    action_agg: str = "max",
 ) -> float:
     """Norm of the difference of the two lumped systems.
 
-    Aggregates per-action norms over the union alphabet (max by default,
-    matching the norm of the block-diagonal joint operator; 'sum' is the
-    alternative policy).  Actions absent from one system lump to zero
-    matrices on that side.
+    The largest per-action norm over the union alphabet, which is the norm
+    of the block-diagonal joint operator.  Actions absent from one system
+    lump to zero matrices on that side.
     """
     if k1.m != k2.m:
         raise ClassCountMismatchError(f"k1 has {k1.m} classes, k2 has {k2.m}")
     actions = _union_actions(p1, p2)
-    f1 = _lumped_family(p1, k1, actions)
-    f2 = _lumped_family(p2, k2, actions)
-    return _family_distance(f1, f2, norm_kind, action_agg)
-
-
-def _better(cand, best) -> bool:
-    # Order: smaller epsilon, then smaller class count, then lexicographically
-    # smaller (k1 assign, k2 assign).
-    if best is None:
-        return True
-    ce, cm, ck1, ck2 = cand
-    be, bm, bk1, bk2 = best
-    if ce != be:
-        return ce < be
-    if cm != bm:
-        return cm < bm
-    return (ck1, ck2) < (bk1, bk2)
-
-
-def _scan_pairs(args):
-    """Best candidate over one chunk of canonical left classifications."""
-    p1, p2, actions, m, k1s, k2cans, norm_kind, tol, agg = args
-    fams2 = [(c, _lumped_family(p2, c, actions)) for c in k2cans]
-    perms = list(itertools.permutations(range(m)))
-    invs = [np.argsort(np.array(s)) for s in perms]
-    best = None
-    for c1 in k1s:
-        f1 = _lumped_family(p1, c1, actions)
-        for c2, f2 in fams2:
-            for sigma, inv in zip(perms, invs):
-                g = f2[:, inv][:, :, inv]
-                d = _family_distance(f1, g, norm_kind, agg)
-                cand = (d, m, c1.assign, tuple(sigma[v] for v in c2.assign))
-                if _better(cand, best):
-                    best = cand
-    return best
+    f1 = _lumped_family(_dense(p1, actions), k1)
+    f2 = _lumped_family(_dense(p2, actions), k2)
+    return _family_distance(f1, f2, norm_kind)
 
 
 def epsilon_bisim_exact(
@@ -184,56 +168,42 @@ def epsilon_bisim_exact(
     norm_kind: str = "op-inf",
     tol: float = DEFAULT_TOL,
     budget: int = DEFAULT_PAIR_BUDGET,
-    action_agg: str = "max",
-    jobs: int = 1,
 ) -> EpsilonResult:
     """Exact epsilon by exhaustive enumeration of admissible pairs.
 
     For each shared class count m the left system ranges over canonical
     classifications, the right over canonical classifications times all m!
     class relabelings; pairs where either side is not a lumping of its own
-    system are discarded.  Raises BudgetExceededError when the a-priori
-    pair count exceeds ``budget``.  With ``jobs`` > 1 the scan is split
-    across processes; the reduction is deterministic, so results do not
-    depend on scheduling.
+    system are discarded.  The minimum is taken in the order of
+    ``(epsilon, m, k1 assign, k2 assign)``, so ties go to fewer classes,
+    then to the lexicographically smaller assignments.  Raises
+    BudgetExceededError when the a-priori pair count exceeds ``budget``.
     """
     total = pair_budget(p1.n, p2.n)
     if total > budget:
         raise BudgetExceededError(total, budget)
     actions = _union_actions(p1, p2)
-    tasks = []
+    mats1, mats2 = _dense(p1, actions), _dense(p2, actions)
+    best = None
     for m in range(1, min(p1.n, p2.n) + 1):
         k1s = [c for c in enumerate_classifications(p1.n, m) if is_lumpable(p1, c, tol)[0]]
         if not k1s:
             continue
-        k2cans = [c for c in enumerate_classifications(p2.n, m) if is_lumpable(p2, c, tol)[0]]
-        if not k2cans:
+        k2s = [c for c in enumerate_classifications(p2.n, m) if is_lumpable(p2, c, tol)[0]]
+        if not k2s:
             continue
-        if jobs > 1:
-            for i in range(0, len(k1s), 8):
-                tasks.append((p1, p2, actions, m, k1s[i : i + 8], k2cans, norm_kind, tol, action_agg))
-        else:
-            tasks.append((p1, p2, actions, m, k1s, k2cans, norm_kind, tol, action_agg))
-
-    if jobs > 1 and len(tasks) > 1:
-        # imported here: it pulls in multiprocessing, which every start-up would pay for
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_scan_pairs, tasks))
-    else:
-        results = [_scan_pairs(t) for t in tasks]
-
-    best = None
-    for r in results:
-        if r is not None and _better(r, best):
-            best = r
-    if best is None:
-        return EpsilonResult(math.inf, None, None, norm_kind, "exhaustive", True)
-    eps, m, a1, a2 = best
-    return EpsilonResult(
-        eps, Classification(a1, m), Classification(a2, m), norm_kind, "exhaustive", True
-    )
+        fams2 = [(c, _lumped_family(mats2, c)) for c in k2s]
+        perms = list(itertools.permutations(range(m)))
+        invs = [np.argsort(np.array(s)) for s in perms]
+        for c1 in k1s:
+            f1 = _lumped_family(mats1, c1)
+            for c2, f2 in fams2:
+                for sigma, inv in zip(perms, invs):
+                    d = _family_distance(f1, f2[:, inv][:, :, inv], norm_kind)
+                    cand = (d, m, c1.assign, tuple(sigma[v] for v in c2.assign))
+                    if best is None or cand < best:
+                        best = cand
+    return _result(best, norm_kind, "exhaustive", True)
 
 
 def _random_surjection(rng: random.Random, n: int, m: int) -> tuple[int, ...]:
@@ -253,7 +223,6 @@ def epsilon_bisim_search(
     budget: int = 2000,
     seed: int = 0,
     tol: float = DEFAULT_TOL,
-    action_agg: str = "max",
 ) -> EpsilonResult:
     """Seeded hill-climbing upper bound on the exact epsilon.
 
@@ -266,20 +235,19 @@ def epsilon_bisim_search(
     system are rejected; every proposal counts against ``budget``.
     """
     actions = _union_actions(p1, p2)
+    mats1, mats2 = _dense(p1, actions), _dense(p2, actions)
     mmin = min(p1.n, p2.n)
     best = None
 
     def evaluate(c1: Classification, c2: Classification) -> float | None:
         if not is_lumpable(p1, c1, tol)[0] or not is_lumpable(p2, c2, tol)[0]:
             return None
-        f1 = _lumped_family(p1, c1, actions)
-        f2 = _lumped_family(p2, c2, actions)
-        return _family_distance(f1, f2, norm_kind, action_agg)
+        return _family_distance(_lumped_family(mats1, c1), _lumped_family(mats2, c2), norm_kind)
 
     def consider(c1, c2, d):
         nonlocal best
         cand = (d, c1.m, c1.assign, c2.assign)
-        if _better(cand, best):
+        if best is None or cand < best:
             best = cand
 
     seeds: list[tuple[Classification, Classification]] = []
@@ -330,12 +298,7 @@ def epsilon_bisim_search(
             if nd < d:
                 cur = (prop[0], prop[1], nd)
 
-    if best is None:
-        return EpsilonResult(math.inf, None, None, norm_kind, "local-search", False)
-    eps, m, a1, a2 = best
-    return EpsilonResult(
-        eps, Classification(a1, m), Classification(a2, m), norm_kind, "local-search", False
-    )
+    return _result(best, norm_kind, "local-search", False)
 
 
 def _propose_move(rng, c1, c2, mmin):

@@ -116,7 +116,7 @@ class Relation:
     pairs: frozenset[tuple[int, int]]
 
     def __post_init__(self):
-        object.__setattr__(self, "pairs", frozenset((int(c), int(a)) for c, a in self.pairs))
+        object.__setattr__(self, "pairs", frozenset(self.pairs))
 
 
 def full_relation(c: KripkeStructure, a: KripkeStructure) -> Relation:

@@ -4,7 +4,8 @@ All randomness is drawn from ``random.Random(seed)`` in a fixed order, so
 every generator is reproducible.  Probabilities are dyadic rationals
 (denominator 1024 for fresh rows, 2**20 after lifting or perturbing),
 which keeps row sums exactly representable in binary floating point and
-makes tolerance-based refinement robust in tests.
+makes tolerance-based refinement robust in tests.  Systems are built as
+edge arrays, so memory follows the number of transitions.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Classification, LabelledPTS
+from .core import Classification, Edges, LabelledPTS, edges_from_sorted
 from .errors import ValidationError
 
 _DENOM = 1 << 10
@@ -29,6 +30,13 @@ def _dyadic_weights(rng: random.Random, parts: int) -> list[int]:
     cuts = sorted(rng.randrange(_DENOM + 1) for _ in range(parts - 1))
     bounds = [0] + cuts + [_DENOM]
     return [bounds[i + 1] - bounds[i] for i in range(parts)]
+
+
+def _edges(n: int, src: list[int], dst: list[int], prob: list[float]) -> Edges:
+    """CSR arrays of edge lists already sorted by (source, target)."""
+    return edges_from_sorted(
+        n, np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64), np.array(prob, dtype=float)
+    )
 
 
 def gen_random_pts(
@@ -45,14 +53,16 @@ def gen_random_pts(
     if not 0.0 < density <= 1.0:
         raise ValidationError("density must be in (0, 1]")
     rng = random.Random(seed)
-    trans = {}
+    edges = {}
     for a in actions:
-        m = np.zeros((n, n))
+        src, dst, prob = [], [], []
         for s in range(n):
             if rng.random() < density:
-                m[s] = np.array(_dyadic_weights(rng, n)) / _DENOM
-        trans[a] = m
-    return LabelledPTS(n, tuple(actions), trans)
+                src += [s] * n
+                dst += range(n)
+                prob += [w / _DENOM for w in _dyadic_weights(rng, n)]
+        edges[a] = _edges(n, src, dst, prob)
+    return LabelledPTS.from_edges(n, actions, edges)
 
 
 def gen_planted(
@@ -79,22 +89,22 @@ def gen_planted(
     n = offsets[-1]
     assign = tuple(j for j in range(quotient.n) for _ in range(multiplicities[j]))
 
-    trans = {}
-    for a in quotient.actions:
-        q = quotient.trans[a]
-        m = np.zeros((n, n))
-        for u in range(n):
-            j = assign[u]
-            if q[j].sum() <= 0.5:
+    on = quotient.enabled_rows()
+    edges = {}
+    for i, a in enumerate(quotient.actions):
+        e = quotient.edges[a]
+        indptr, targets, probs = e.indptr.tolist(), e.dst.tolist(), e.prob.tolist()
+        src, dst, prob = [], [], []
+        for u, j in enumerate(assign):
+            if not on[i, j]:
                 continue
-            for t in range(quotient.n):
-                if q[j, t] == 0.0:
-                    continue
-                weights = _dyadic_weights(rng, multiplicities[t])
-                for k, w in enumerate(weights):
-                    m[u, offsets[t] + k] = q[j, t] * (w / _DENOM)
-        trans[a] = m
-    lift = LabelledPTS(n, quotient.actions, trans)
+            for t, p in zip(targets[indptr[j] : indptr[j + 1]], probs[indptr[j] : indptr[j + 1]]):
+                for k, w in enumerate(_dyadic_weights(rng, multiplicities[t])):
+                    src.append(u)
+                    dst.append(offsets[t] + k)
+                    prob.append(p * (w / _DENOM))
+        edges[a] = _edges(n, src, dst, prob)
+    lift = LabelledPTS.from_edges(n, quotient.actions, edges)
     return lift, Classification(assign, quotient.n)
 
 
@@ -109,22 +119,28 @@ def perturb(pts: LabelledPTS, delta: float, seed: int) -> LabelledPTS:
     if delta < 0:
         raise ValidationError("delta must be >= 0")
     rng = random.Random(seed)
-    trans = {}
-    for a in pts.actions:
-        m = pts.trans[a].copy()
+    on = pts.enabled_rows()
+    edges = {}
+    for i, a in enumerate(pts.actions):
+        e = pts.edges[a]
+        indptr, targets, probs = e.indptr.tolist(), e.dst.tolist(), e.prob.tolist()
+        src, dst, prob = [], [], []
         for s in range(pts.n):
-            row = m[s]
-            if row.sum() <= 0.5 or pts.n < 2:
-                continue
-            positive = [t for t in range(pts.n) if row[t] > 0.0]
-            donor = positive[rng.randrange(len(positive))]
-            recip = rng.randrange(pts.n - 1)
-            if recip >= donor:
-                recip += 1
-            t_amount = min(delta, float(row[donor]))
-            t_amount = math.floor(t_amount * _PERTURB_GRID) / _PERTURB_GRID
-            if t_amount > 0.0:
-                row[donor] -= t_amount
-                row[recip] += t_amount
-        trans[a] = m
-    return LabelledPTS(pts.n, pts.actions, trans)
+            row = dict(zip(targets[indptr[s] : indptr[s + 1]], probs[indptr[s] : indptr[s + 1]]))
+            if on[i, s] and pts.n >= 2:
+                positive = [t for t, p in row.items() if p > 0.0]
+                donor = positive[rng.randrange(len(positive))]
+                recip = rng.randrange(pts.n - 1)
+                if recip >= donor:
+                    recip += 1
+                t_amount = min(delta, row[donor])
+                t_amount = math.floor(t_amount * _PERTURB_GRID) / _PERTURB_GRID
+                if t_amount > 0.0:
+                    row[donor] -= t_amount
+                    row[recip] = row.get(recip, 0.0) + t_amount
+            for t in sorted(row):
+                src.append(s)
+                dst.append(t)
+                prob.append(row[t])
+        edges[a] = _edges(pts.n, src, dst, prob)
+    return LabelledPTS.from_edges(pts.n, pts.actions, edges)

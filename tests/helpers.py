@@ -7,14 +7,18 @@ enumerates raw assignments.  ``naive_coarsest`` is the dense round-based
 signature refinement the library used before its splitter-driven one, and
 the other ``naive_*`` functions are the dense n x n implementations of
 parsing, validation, union, lumpability and quotienting that the edge-array
-ones replaced.  On the simulation and Galois side, ``naive_*`` are the
-per-element loops (successor scans, pair sweeps until stable, per-pair
-lattice bounds, per-subset powerset checks) that the array code replaced.
+ones replaced.  ``naive_gen_*``, ``naive_perturb`` and ``naive_exact_best``
+are the generators and the exhaustive epsilon scan as they ran on dense
+matrices, before systems stopped carrying a dense view.  On the simulation
+and Galois side, ``naive_*`` are the per-element loops (successor scans,
+pair sweeps until stable, per-pair lattice bounds, per-subset powerset
+checks) that the array code replaced.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import numpy as np
@@ -42,10 +46,28 @@ from pbisim.errors import (
     ValidationError,
 )
 from pbisim.galois import DEFAULT_CONCRETE_CAP, GaloisSpec, GaloisViolation
-from pbisim.matrices import LumpabilityViolation, classification_matrix, lump
-from pbisim.generators import gen_planted, gen_random_pts, perturb
+from pbisim.matrices import LumpabilityViolation, classification_matrix, lump, matrix_norm
+from pbisim.generators import (
+    _DENOM,
+    _PERTURB_GRID,
+    _dyadic_weights,
+    gen_planted,
+    gen_random_pts,
+    perturb,
+)
 
 ACTIONS = ["a", "b"]
+
+
+def dense(pts: LabelledPTS) -> dict[str, np.ndarray]:
+    """Dense n x n matrix per action: ``dense(pts)[a][s, t]`` is the
+    probability of moving from ``s`` to ``t`` on ``a``."""
+    out = {}
+    for a, e in pts.edges.items():
+        m = np.zeros((pts.n, pts.n))
+        m[e.src(), e.dst] = e.prob
+        out[a] = m
+    return out
 
 
 def canonical(assign) -> Classification:
@@ -78,13 +100,14 @@ def naive_coarsest(pts: LabelledPTS, tol: float = 1e-9) -> Classification:
     leader-first after sorting the signatures.
     """
     blocks: list[list[int]] = [list(range(pts.n))]
+    mats = dense(pts)
     while True:
         k = np.zeros((pts.n, len(blocks)))
         for j, b in enumerate(blocks):
             k[b, j] = 1.0
         sig_parts = []
         for a in pts.actions:
-            m = pts.trans[a]
+            m = mats[a]
             enabled = (m.sum(axis=1) > 0.5).astype(float)
             sig_parts.append(enabled[:, None])
             sig_parts.append(m @ k)
@@ -281,8 +304,9 @@ def naive_validate_pts(pts: LabelledPTS, tol: float = DEFAULT_TOL) -> None:
         raise ValidationError("state count must be >= 1")
     if not pts.actions:
         raise EmptyActionSetError()
+    mats = dense(pts)
     for a in pts.actions:
-        m = pts.trans[a]
+        m = mats[a]
         if not np.all(np.isfinite(m)):
             raise ValidationError(f"non-finite entry in action {a!r}")
         for s in range(pts.n):
@@ -302,10 +326,10 @@ def naive_disjoint_union(p1: LabelledPTS, p2: LabelledPTS) -> tuple[LabelledPTS,
     trans = {}
     for a in actions:
         m = np.zeros((n, n))
-        if a in p1.trans:
-            m[: p1.n, : p1.n] = p1.trans[a]
-        if a in p2.trans:
-            m[p1.n :, p1.n :] = p2.trans[a]
+        if a in p1.edges:
+            m[: p1.n, : p1.n] = dense(p1)[a]
+        if a in p2.edges:
+            m[p1.n :, p1.n :] = dense(p2)[a]
         trans[a] = m
     return LabelledPTS(n, tuple(actions), trans), p1.n
 
@@ -327,8 +351,9 @@ def naive_is_lumpable(
         )
     k = classification_matrix(c)
     blocks = [sorted(b) for b in _naive_blocks_of(c)]
+    mats = dense(pts)
     for a in pts.actions:
-        m = pts.trans[a]
+        m = mats[a]
         masses = m @ k  # per-state mass into each class
         on = m.sum(axis=1) > 0.5
         for block in blocks:
@@ -356,8 +381,148 @@ def naive_quotient(pts: LabelledPTS, c: Classification, tol: float = DEFAULT_TOL
     if not ok:
         raise NotLumpableError(violation)
     k = classification_matrix(c)
-    trans = {a: lump(pts.trans[a], k) for a in pts.actions}
+    trans = {a: lump(m, k) for a, m in dense(pts).items()}
     return LabelledPTS(c.m, pts.actions, trans)
+
+
+def naive_gen_random_pts(n, actions, density, seed) -> LabelledPTS:
+    """``gen_random_pts`` writing every row of an n x n matrix."""
+    if n < 1:
+        raise ValidationError("need n >= 1")
+    if not 0.0 < density <= 1.0:
+        raise ValidationError("density must be in (0, 1]")
+    rng = random.Random(seed)
+    trans = {}
+    for a in actions:
+        m = np.zeros((n, n))
+        for s in range(n):
+            if rng.random() < density:
+                m[s] = np.array(_dyadic_weights(rng, n)) / _DENOM
+        trans[a] = m
+    return LabelledPTS(n, tuple(actions), trans)
+
+
+def naive_gen_planted(quotient, multiplicities, seed) -> tuple[LabelledPTS, Classification]:
+    """``gen_planted`` reading dense quotient rows into dense lifted matrices."""
+    if len(multiplicities) != quotient.n:
+        raise ValidationError(
+            f"{len(multiplicities)} multiplicities for {quotient.n} quotient states"
+        )
+    if any(k < 1 for k in multiplicities):
+        raise ValidationError("multiplicities must be >= 1")
+    rng = random.Random(seed)
+    offsets = [0]
+    for k in multiplicities:
+        offsets.append(offsets[-1] + k)
+    n = offsets[-1]
+    assign = tuple(j for j in range(quotient.n) for _ in range(multiplicities[j]))
+
+    trans = {}
+    for a in quotient.actions:
+        q = dense(quotient)[a]
+        m = np.zeros((n, n))
+        for u in range(n):
+            j = assign[u]
+            if q[j].sum() <= 0.5:
+                continue
+            for t in range(quotient.n):
+                if q[j, t] == 0.0:
+                    continue
+                weights = _dyadic_weights(rng, multiplicities[t])
+                for k, w in enumerate(weights):
+                    m[u, offsets[t] + k] = q[j, t] * (w / _DENOM)
+        trans[a] = m
+    lift = LabelledPTS(n, quotient.actions, trans)
+    return lift, Classification(assign, quotient.n)
+
+
+def naive_perturb(pts, delta, seed) -> LabelledPTS:
+    """``perturb`` moving mass inside copies of the dense matrices."""
+    if delta < 0:
+        raise ValidationError("delta must be >= 0")
+    rng = random.Random(seed)
+    trans = {}
+    for a in pts.actions:
+        m = dense(pts)[a].copy()
+        for s in range(pts.n):
+            row = m[s]
+            if row.sum() <= 0.5 or pts.n < 2:
+                continue
+            positive = [t for t in range(pts.n) if row[t] > 0.0]
+            donor = positive[rng.randrange(len(positive))]
+            recip = rng.randrange(pts.n - 1)
+            if recip >= donor:
+                recip += 1
+            t_amount = min(delta, float(row[donor]))
+            t_amount = math.floor(t_amount * _PERTURB_GRID) / _PERTURB_GRID
+            if t_amount > 0.0:
+                row[donor] -= t_amount
+                row[recip] += t_amount
+        trans[a] = m
+    return LabelledPTS(pts.n, pts.actions, trans)
+
+
+def _naive_lumped_family(pts, c, actions):
+    k = classification_matrix(c)
+    d = dense(pts)
+    return np.stack([lump(d.get(a, np.zeros((pts.n, pts.n))), k) for a in actions])
+
+
+def _naive_family_distance(f1, f2, norm_kind, agg):
+    per_action = [matrix_norm(f1[i] - f2[i], norm_kind) for i in range(f1.shape[0])]
+    if agg == "max":
+        return max(per_action)
+    if agg == "sum":
+        return float(sum(per_action))
+    raise ValueError(f"unknown action aggregation {agg!r}; expected 'max' or 'sum'")
+
+
+def naive_better(cand, best) -> bool:
+    # Order: smaller epsilon, then smaller class count, then lexicographically
+    # smaller (k1 assign, k2 assign).
+    if best is None:
+        return True
+    ce, cm, ck1, ck2 = cand
+    be, bm, bk1, bk2 = best
+    if ce != be:
+        return ce < be
+    if cm != bm:
+        return cm < bm
+    return (ck1, ck2) < (bk1, bk2)
+
+
+def naive_scan_pairs(args):
+    """Best candidate over one chunk of canonical left classifications."""
+    p1, p2, actions, m, k1s, k2cans, norm_kind, tol, agg = args
+    fams2 = [(c, _naive_lumped_family(p2, c, actions)) for c in k2cans]
+    perms = list(itertools.permutations(range(m)))
+    invs = [np.argsort(np.array(s)) for s in perms]
+    best = None
+    for c1 in k1s:
+        f1 = _naive_lumped_family(p1, c1, actions)
+        for c2, f2 in fams2:
+            for sigma, inv in zip(perms, invs):
+                g = f2[:, inv][:, :, inv]
+                d = _naive_family_distance(f1, g, norm_kind, agg)
+                cand = (d, m, c1.assign, tuple(sigma[v] for v in c2.assign))
+                if naive_better(cand, best):
+                    best = cand
+    return best
+
+
+def naive_exact_best(p1, p2, norm_kind="op-inf", tol=DEFAULT_TOL):
+    """Exhaustive epsilon as one ``naive_scan_pairs`` task per class count,
+    reduced with ``naive_better``: the best ``(epsilon, m, k1, k2)`` or None."""
+    actions = tuple(p1.actions) + tuple(a for a in p2.actions if a not in p1.actions)
+    best = None
+    for m in range(1, min(p1.n, p2.n) + 1):
+        k1s = [c for c in enumerate_classifications(p1.n, m) if is_lumpable(p1, c, tol)[0]]
+        k2cans = [c for c in enumerate_classifications(p2.n, m) if is_lumpable(p2, c, tol)[0]]
+        if k1s and k2cans:
+            r = naive_scan_pairs((p1, p2, actions, m, k1s, k2cans, norm_kind, tol, "max"))
+            if r is not None and naive_better(r, best):
+                best = r
+    return best
 
 
 # --- simulation and Galois side: the per-element loops the array code replaced

@@ -32,6 +32,7 @@ from pbisim.generators import gen_planted, gen_random_pts, perturb
 from pbisim.formats import print_pts
 
 from helpers import (
+    dense,
     ACTIONS,
     acceptance_corpus,
     brute_coarsest,
@@ -88,7 +89,7 @@ def test_criterion_3_coarsest_partition_matches_enumeration():
         seen = set()
         for name, p1, p2, _, _ in CORPUS:
             for tag, pts in ((name + ".L", p1), (name + ".R", p2)):
-                key = (pts.n, tuple(pts.trans[a].tobytes() for a in pts.actions))
+                key = (pts.n, tuple(dense(pts)[a].tobytes() for a in pts.actions))
                 if key in seen:
                     continue
                 seen.add(key)
@@ -106,7 +107,7 @@ def test_criterion_4_quotient_soundness():
             assert lift.n <= 12 and cls.m <= 4
             lumped = quotient(lift, cls)
             for a in q.actions:
-                assert np.allclose(lumped.trans[a], q.trans[a], atol=1e-9)
+                assert np.allclose(dense(lumped)[a], dense(q)[a], atol=1e-9)
             assert are_bisimilar(lift, lumped)[0]
 
 

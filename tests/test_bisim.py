@@ -14,7 +14,7 @@ from pbisim.errors import NotLumpableError, ValidationError
 from pbisim.formats import parse_pts
 from pbisim.generators import gen_planted, gen_random_pts
 
-from helpers import brute_coarsest, planted_pair
+from helpers import brute_coarsest, dense, planted_pair
 from test_cli import run_cli
 
 
@@ -40,7 +40,7 @@ def test_coarsest_on_planted_lift():
     assert part == cls
     lumped = quotient(lift, part)
     for a in q.actions:
-        assert np.allclose(lumped.trans[a], q.trans[a], atol=1e-9)
+        assert np.allclose(dense(lumped)[a], dense(q)[a], atol=1e-9)
 
 
 def test_coarsest_rejects_an_empty_system():
@@ -72,7 +72,7 @@ def test_quotient_all_identical_rows_to_single_state():
     pts = LabelledPTS(3, ("a",), {"a": [row, row, row]})
     q = quotient(pts, Classification((0, 0, 0), 1))
     assert q.n == 1
-    assert q.trans["a"][0, 0] == pytest.approx(1.0, abs=1e-12)
+    assert dense(q)["a"][0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_quotient_of_planted_recovers_quotient():
@@ -81,7 +81,7 @@ def test_quotient_of_planted_recovers_quotient():
         lumped = quotient(lift, cls)
         validate_pts(lumped, 1e-9)
         for a in q.actions:
-            assert np.allclose(lumped.trans[a], q.trans[a], atol=1e-12)
+            assert np.allclose(dense(lumped)[a], dense(q)[a], atol=1e-12)
 
 
 def test_quotient_rejects_non_lumpable():
@@ -132,8 +132,9 @@ def test_witness_quotients_agree():
         assert is_lumpable(p2, w.k2)[0]
         q1 = quotient(p1, w.k1)
         q2 = quotient(p2, w.k2)
+        zero = np.zeros((q1.n, q1.n))
         for a in set(q1.actions) | set(q2.actions):
-            assert np.allclose(q1.matrix_or_zero(a), q2.matrix_or_zero(a), atol=1e-9)
+            assert np.allclose(dense(q1).get(a, zero), dense(q2).get(a, zero), atol=1e-9)
         validate_pts(w.quotient, 1e-9)
 
 

@@ -111,18 +111,6 @@ def test_epsilon_search_deterministic_reports(planted_files):
     assert json.dumps(ra, sort_keys=True) == json.dumps(rb, sort_keys=True)
 
 
-def test_epsilon_jobs_matches_serial(planted_files):
-    one = run_cli("epsilon", planted_files["lift"], planted_files["quotient"], "--json")
-    two = run_cli(
-        "epsilon", planted_files["lift"], planted_files["quotient"],
-        "--jobs", "2", "--json",
-    )
-    ra, rb = json.loads(one.stdout), json.loads(two.stdout)
-    assert ra["result"]["epsilon"] == rb["result"]["epsilon"]
-    assert ra["result"]["k1"] == rb["result"]["k1"]
-    assert ra["result"]["k2"] == rb["result"]["k2"]
-
-
 def test_epsilon_budget_exceeded_exit_code(tmp_path):
     big = gen_random_pts(8, ["a"], 1.0, 1)
     f = write(tmp_path, "big.pts", print_pts(big))
@@ -310,10 +298,12 @@ def test_pair_cap_must_be_positive(one_state):
     assert "argument --pair-cap: must be >= 1" in res.stderr
 
 
-def test_jobs_must_be_positive(one_state):
-    res = run_cli("epsilon", one_state, one_state, "--jobs", "0")
+def test_epsilon_rejects_the_removed_jobs_flag(planted_files):
+    # the exhaustive scan is serial; --jobs is an unknown flag, not a failed run
+    res = run_cli("epsilon", planted_files["lift"], planted_files["quotient"], "--jobs", "2")
     assert res.returncode == 2
-    assert "argument --jobs: must be >= 1" in res.stderr
+    assert "unrecognized arguments: --jobs 2" in res.stderr
+    assert res.stdout == ""
 
 
 @pytest.mark.parametrize("exc", [MemoryError("parse buffer"), RuntimeError("boom")])

@@ -16,6 +16,8 @@ from pbisim.errors import (
 )
 from pbisim.generators import gen_random_pts
 
+from helpers import dense
+
 
 def test_validate_self_loop():
     pts = LabelledPTS(1, ("a",), {"a": [[1.0]]})
@@ -87,16 +89,16 @@ def test_disjoint_union_shapes(n1, n2):
     u, off = disjoint_union(p1, p2)
     assert off == n1
     assert u.n == n1 + n2
-    assert np.array_equal(u.trans["a"][:n1, :n1], p1.trans["a"])
-    assert np.array_equal(u.trans["a"][n1:, n1:], p2.trans["a"])
-    assert np.all(u.trans["a"][:n1, n1:] == 0)
+    assert np.array_equal(dense(u)["a"][:n1, :n1], dense(p1)["a"])
+    assert np.array_equal(dense(u)["a"][n1:, n1:], dense(p2)["a"])
+    assert np.all(dense(u)["a"][:n1, n1:] == 0)
 
 
 def test_disjoint_union_of_self_loops():
     p = LabelledPTS(1, ("a",), {"a": [[1.0]]})
     u, off = disjoint_union(p, p)
     assert off == 1
-    assert np.array_equal(u.trans["a"], np.diag([1.0, 1.0]))
+    assert np.array_equal(dense(u)["a"], np.diag([1.0, 1.0]))
 
 
 def test_disjoint_union_disjoint_alphabets():
@@ -105,8 +107,8 @@ def test_disjoint_union_disjoint_alphabets():
     u, off = disjoint_union(p1, p2)
     assert u.actions == ("a", "b")
     # the second system contributes all-zero rows for the first's action
-    assert np.all(u.trans["a"][off:] == 0)
-    assert np.all(u.trans["b"][:off] == 0)
+    assert np.all(dense(u)["a"][off:] == 0)
+    assert np.all(dense(u)["b"][:off] == 0)
 
 
 def test_disjoint_union_validates():

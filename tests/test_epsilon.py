@@ -193,9 +193,3 @@ def test_search_witness_reproduces_epsilon():
     again = epsilon_distance(p1, p2, res.k1, res.k2, res.norm_kind)
     assert abs(again - res.epsilon) <= 1e-12
 
-
-def test_exact_parallel_matches_serial():
-    lift, q, _ = planted_pair(4)
-    serial = epsilon_bisim_exact(lift, q, jobs=1)
-    parallel = epsilon_bisim_exact(lift, q, jobs=2)
-    assert serial == parallel

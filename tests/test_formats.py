@@ -20,12 +20,14 @@ from pbisim.formats import (
 )
 from pbisim.generators import gen_planted, gen_random_pts
 
+from helpers import dense
+
 
 def test_parse_minimal_system():
     pts, names = parse_pts("states: s0\nactions: a\ns0 a s0 1\n")
     assert names == ("s0",)
     assert pts.n == 1
-    assert pts.trans["a"][0, 0] == 1.0
+    assert dense(pts)["a"][0, 0] == 1.0
 
 
 def test_parse_undeclared_state():
@@ -39,7 +41,7 @@ def test_parse_undeclared_state():
 def test_parse_fraction_probabilities():
     text = "states: s0 s1\nactions: a\ns0 a s0 1/3\ns0 a s1 2/3\ns1 a s1 1\n"
     pts, _ = parse_pts(text)
-    row = pts.trans["a"][0]
+    row = dense(pts)["a"][0]
     assert row[0] == pytest.approx(1 / 3, abs=0)
     assert abs(row.sum() - 1.0) < 1e-9
 

@@ -12,10 +12,12 @@ from pbisim import (
 from pbisim.errors import ValidationError
 from pbisim.generators import gen_planted, gen_random_pts, perturb
 
+from helpers import dense
+
 
 def test_random_single_state_row():
     pts = gen_random_pts(1, ["a"], 1.0, 0)
-    assert pts.trans["a"][0, 0] == 1.0
+    assert dense(pts)["a"][0, 0] == 1.0
 
 
 def test_random_is_deterministic():
@@ -34,7 +36,7 @@ def test_random_outputs_validate_exactly():
 
 def test_random_density_one_enables_everything():
     pts = gen_random_pts(5, ["a"], 1.0, 3)
-    assert np.all(pts.trans["a"].sum(axis=1) == 1.0)
+    assert np.all(dense(pts)["a"].sum(axis=1) == 1.0)
 
 
 def test_random_rejects_bad_arguments():
@@ -57,7 +59,7 @@ def test_planted_self_loop_lift():
     assert lift.n == 3
     validate_pts(lift, 1e-12)
     assert is_lumpable(lift, cls, 1e-12)[0]
-    assert np.allclose(quotient(lift, cls).trans["a"], [[1.0]], atol=1e-12)
+    assert np.allclose(dense(quotient(lift, cls))["a"], [[1.0]], atol=1e-12)
 
 
 def test_planted_lift_is_bisimilar_to_quotient():
@@ -98,9 +100,9 @@ def test_perturb_moves_bounded_mass_per_row():
     pts = gen_random_pts(5, ["a"], 1.0, 31)
     delta = 0.01
     out = perturb(pts, delta, 32)
-    diff = np.abs(out.trans["a"] - pts.trans["a"]).sum(axis=1)
+    diff = np.abs(dense(out)["a"] - dense(pts)["a"]).sum(axis=1)
     assert np.all(diff <= 2 * delta + 1e-15)
-    assert np.allclose(out.trans["a"].sum(axis=1), 1.0, atol=0)
+    assert np.allclose(dense(out)["a"].sum(axis=1), 1.0, atol=0)
 
 
 def test_perturb_distance_bound_with_discrete_witness():

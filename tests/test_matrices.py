@@ -16,7 +16,7 @@ from pbisim import (
 from pbisim.errors import DimensionMismatchError, NotClassificationMatrixError
 from pbisim.generators import gen_planted, gen_random_pts
 
-from helpers import planted_pair
+from helpers import dense, planted_pair
 
 
 def random_classification(rng: random.Random, n: int, m: int) -> Classification:
@@ -159,7 +159,7 @@ def test_lumpable_reexpansion_reproduces_block_rows():
         lift, _, cls = planted_pair(i)
         k = classification_matrix(cls)
         for a in lift.actions:
-            m = lift.trans[a]
+            m = dense(lift)[a]
             assert np.allclose(k @ lump(m, k), m @ k, atol=1e-9)
 
 
@@ -202,5 +202,5 @@ def test_lump_preserves_stochastic_rows():
     for seed in range(5):
         pts = gen_random_pts(6, ["a"], 1.0, seed)
         c = random_classification(rng, 6, rng.randrange(1, 4))
-        q = lump(pts.trans["a"], classification_matrix(c))
+        q = lump(dense(pts)["a"], classification_matrix(c))
         assert np.allclose(q.sum(axis=1), 1.0, atol=6e-9)

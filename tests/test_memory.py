@@ -3,7 +3,8 @@
 A 50,000-state system held as dense matrices needs 20 GB per action.  The
 commands below run as child processes whose address space is capped at
 1 GiB (importing numpy and pbisim alone maps about 150 MB), so a dense
-allocation anywhere on the bisim or quotient path fails with MemoryError.
+allocation anywhere on the bisim, quotient or generator path fails with
+MemoryError.
 """
 
 import json
@@ -12,6 +13,9 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
+
+from pbisim.formats import parse_pts
 
 LIMIT = 1 << 30
 
@@ -65,19 +69,40 @@ def run_limited(*args):
     )
 
 
-def test_50k_states_run_in_one_gib(tmp_path):
-    path = tmp_path / "wide.pts"
+@pytest.fixture(scope="module")
+def wide(tmp_path_factory):
+    path = tmp_path_factory.mktemp("wide") / "wide.pts"
     path.write_text(planted_text(40, 1250, 5))
+    return path
 
-    res = run_limited("quotient", str(path), "--coarsest", "--json")
+
+def test_50k_states_run_in_one_gib(wide):
+    res = run_limited("quotient", str(wide), "--coarsest", "--json")
     assert res.returncode == 0, res.stderr[-2000:]
     classes = json.loads(res.stdout)["result"]["classes"]
     assert 1 < classes <= 40
 
-    res = run_limited("bisim", str(path), str(path), "--json")
+    res = run_limited("bisim", str(wide), str(wide), "--json")
     assert res.returncode == 0, res.stderr[-2000:]
     result = json.loads(res.stdout)["result"]
     assert result["bisimilar"] and result["classes"] == classes
+
+
+def test_generators_on_50k_states_run_in_one_gib(wide, tmp_path):
+    base, _ = parse_pts(wide.read_text())
+    out = tmp_path / "out.pts"
+
+    res = run_limited("gen", "perturb", str(wide), "--delta", "0.01", "--seed", "3", "-o", str(out))
+    assert res.returncode == 0, res.stderr[-2000:]
+    pert, _ = parse_pts(out.read_text())
+    assert pert.n == base.n and pert != base
+
+    # one lifted state per quotient state reproduces the quotient exactly
+    ones = ",".join(["1"] * base.n)
+    res = run_limited("gen", "planted", "--quotient", str(wide), "--multiplicities", ones,
+                      "--seed", "4", "-o", str(out))
+    assert res.returncode == 0, res.stderr[-2000:]
+    assert parse_pts(out.read_text())[0] == base
 
 
 def test_relation_check_on_50k_declared_states_runs_in_one_gib(tmp_path):

@@ -2,15 +2,20 @@
 
 Each test writes inputs, runs ``pbisim.cli.main`` with ``--json``, then
 permutes and renames states and compares the reports up to that renaming.
+Exact epsilon must also not change when the two files are swapped.
 """
 
 import json
 import random
 
-from pbisim import KripkeStructure, cli
-from pbisim.formats import print_kripke
+import numpy as np
+import pytest
 
-from helpers import random_kripke
+from pbisim import KripkeStructure, LabelledPTS, cli
+from pbisim.formats import print_kripke, print_pts
+from pbisim.matrices import NORM_KINDS
+
+from helpers import dense, perturbed_pair, planted_pair, random_kripke, random_pair
 
 
 def relabelled(k: KripkeStructure, names, rng: random.Random, prefix: str):
@@ -118,3 +123,41 @@ def test_galois_check_is_invariant_under_renaming(tmp_path, capsys):
         code3, moved = run(tmp_path, capsys, against, files)
         assert (code3, moved["galois"], moved["basis"]) == (code, base["galois"], base["basis"])
     assert verdicts == {True, False}
+
+
+def relabelled_pts(pts: LabelledPTS, names, rng: random.Random, prefix: str):
+    """``pts`` with its states in a random order and renamed, and the new names."""
+    order = list(range(pts.n))
+    rng.shuffle(order)  # order[i] is the old state printed at position i
+    moved = LabelledPTS(pts.n, pts.actions, {a: m[np.ix_(order, order)] for a, m in dense(pts).items()})
+    return moved, tuple(f"{prefix}{names[old]}" for old in order)
+
+
+@pytest.mark.parametrize("norm", NORM_KINDS)
+def test_exact_epsilon_is_symmetric_and_invariant_under_renaming(tmp_path, capsys, norm):
+    def epsilon(paths):
+        return ["epsilon", *paths, "--norm", norm]
+
+    positive = set()
+    for i in range(18):
+        rng = random.Random(i)
+        p1, p2 = [planted_pair(i)[:2], perturbed_pair(i)[:2], random_pair(i)][i % 3]
+        names1 = tuple(f"p{s}" for s in range(p1.n))
+        names2 = tuple(f"q{s}" for s in range(p2.n))
+        files = [("1.pts", print_pts(p1, names1)), ("2.pts", print_pts(p2, names2))]
+        code, base = run(tmp_path, capsys, epsilon, files)
+        assert base["admissible_pair_found"]
+        positive.add(base["epsilon"] > 0)
+
+        moved1, moved_names1 = relabelled_pts(p1, names1, rng, "x")
+        moved2, moved_names2 = relabelled_pts(p2, names2, rng, "y")
+        for variant in (
+            files[::-1],
+            [("1.pts", print_pts(moved1, moved_names1)), files[1]],
+            [files[0], ("2.pts", print_pts(moved2, moved_names2))],
+            [("2.pts", print_pts(moved2, moved_names2)), ("1.pts", print_pts(moved1, moved_names1))],
+        ):
+            code2, other = run(tmp_path, capsys, epsilon, variant)
+            assert code2 == code
+            assert (other["epsilon"], other["classes"]) == (base["epsilon"], base["classes"])
+    assert positive == {True, False}

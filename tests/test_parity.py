@@ -1,5 +1,6 @@
-"""Edge-array parsing, validation, union, lumpability and quotienting
-against the dense n x n implementations they replaced.
+"""Edge-array parsing, validation, union, lumpability, quotienting and
+generators, and the serial exact epsilon scan, against the dense n x n
+implementations they replaced.
 
 The systems are the dyadic and non-dyadic corpora of ``test_refinement``,
 each also with its states randomly permuted.  Dyadic masses are exact, so
@@ -7,9 +8,12 @@ violations and quotients must agree bit for bit.  Non-dyadic masses may
 round differently, because the edge arrays are summed in ascending target
 and state order and the dense products in the BLAS kernel's order; there
 the violations must name the same action, states and class, and the masses
-they print and the quotient entries must agree to a few ulps.
+they print and the quotient entries must agree to a few ulps.  Generated
+systems must be equal and print the same bytes, and exact epsilon must
+report the same epsilon, class count and witnesses.
 """
 
+import math
 import random
 import re
 
@@ -22,23 +26,34 @@ from pbisim import (
     are_bisimilar,
     coarsest_bisimulation,
     disjoint_union,
+    epsilon_bisim_exact,
+    gen_planted,
+    gen_random_pts,
     is_lumpable,
+    perturb,
     quotient,
     validate_pts,
 )
 from pbisim.errors import NotLumpableError, PbisimError, RowSumError
 from pbisim import matrices
 from pbisim.formats import parse_pts, print_pts
-from pbisim.matrices import classification_matrix, lump
+from pbisim.matrices import NORM_KINDS, classification_matrix, lump
 
 from helpers import (
+    ACTIONS,
+    dense,
     naive_disjoint_union,
+    naive_exact_best,
+    naive_gen_planted,
+    naive_gen_random_pts,
     naive_is_lumpable,
     naive_parse_pts,
+    naive_perturb,
     naive_quotient,
     naive_validate_pts,
+    planted_pair,
 )
-from test_refinement import dyadic_corpus, fraction_corpus, permuted
+from test_refinement import PALETTES, dyadic_corpus, fraction_corpus, palette_lift, palette_pts, permuted
 
 # Masses and quotient entries here are sums of at most a dozen terms; taken
 # in two orders they differ by a few ulps (at most 2 were seen).
@@ -94,7 +109,7 @@ def test_parse_print_and_validate_match_dense(corpus):
         slow, slow_names = naive_parse_pts(text)
         assert fast == slow == pts and names == slow_names
         for a in pts.actions:
-            assert np.array_equal(fast.trans[a], slow.trans[a])
+            assert np.array_equal(dense(fast)[a], dense(slow)[a])
         validate_pts(pts)
         naive_validate_pts(pts)
 
@@ -142,8 +157,8 @@ def test_lumpability_and_quotient_match_dense(corpus, table, monkeypatch):
             else:
                 assert fast.n == slow.n and fast.actions == slow.actions
                 for a in pts.actions:
-                    assert np.array_equal(fast.trans[a] != 0, slow.trans[a] != 0)
-                    worst = max(worst, ulps(fast.trans[a], slow.trans[a]))
+                    assert np.array_equal(dense(fast)[a] != 0, dense(slow)[a] != 0)
+                    worst = max(worst, ulps(dense(fast)[a], dense(slow)[a]))
     assert seen[True] and seen[False]
     assert worst <= NON_DYADIC_ULPS
 
@@ -193,8 +208,8 @@ def test_bisimilarity_witness_matches_dense_lumping():
         union, _ = naive_disjoint_union(pts, other)
         c = coarsest_bisimulation(union)
         k = classification_matrix(c)
-        dense = LabelledPTS(c.m, union.actions, {a: lump(union.trans[a], k) for a in union.actions})
-        assert witness.quotient == dense
+        lumped = LabelledPTS(c.m, union.actions, {a: lump(m, k) for a, m in dense(union).items()})
+        assert witness.quotient == lumped
 
 
 HEAD = "states: s0 s1\nactions: a b\n"
@@ -280,3 +295,87 @@ def test_malformed_files_fail_as_the_dense_parser_does(tol):
         assert outcome(parse_pts, text, tol) == expected, text
         failures += expected is not None
     assert failures >= 30
+
+
+def assert_same_system(new, old):
+    assert new == old
+    assert print_pts(new) == print_pts(old)
+
+
+def test_generators_match_the_dense_ones():
+    randoms = []
+    for i in range(36):
+        n, density = 1 + i % 6, [0.35, 0.8, 1.0][i // 6 % 3]
+        actions = [ACTIONS, ["a"], ["b", "a", "c"]][i % 3]
+        randoms.append(gen_random_pts(n, actions, density, 700 + i))
+        assert_same_system(randoms[-1], naive_gen_random_pts(n, actions, density, 700 + i))
+
+    # quotients: random, non-dyadic, and with entries negative or tiny within tol
+    odd = [parse_pts(text, 0.1)[0] for text in MALFORMED if outcome(parse_pts, text, 0.1) is None]
+    lifts = []
+    for i, q in enumerate(randoms[:24] + FRACTION[::10] + odd):
+        mult = [1 + (i + j) % 4 for j in range(q.n)]
+        lift, cls = gen_planted(q, mult, 800 + i)
+        old, old_cls = naive_gen_planted(q, mult, 800 + i)
+        assert_same_system(lift, old)
+        assert cls == old_cls
+        lifts.append(lift)
+
+    for i, pts in enumerate(randoms + lifts + DYADIC[::4] + FRACTION[::8] + odd):
+        for delta in (0, 1e-7, 0.01, 0.3, 2):
+            assert_same_system(perturb(pts, delta, 900 + i), naive_perturb(pts, delta, 900 + i))
+
+
+def identical_rows(n: int, seed: int):
+    """System whose states all share one row per action: every
+    classification is a lumping, so the scan meets many ties."""
+    row = gen_random_pts(n, ACTIONS, 1.0, seed)
+    return LabelledPTS(n, ACTIONS, {a: np.tile(dense(row)[a][0], (n, 1)) for a in ACTIONS})
+
+
+def epsilon_pairs():
+    """Seeded pairs with n <= 6: random (also over different alphabets),
+    perturbed, planted lifts against their quotients and against
+    themselves, all-identical rows, and rows of 0.1/0.2/0.7."""
+    rng = random.Random(61)
+    pairs = []
+    for i in range(60):
+        p1 = gen_random_pts(2 + i % 5, ACTIONS, 0.7, 1100 + i)
+        n2 = p1.n if i % 2 else 2 + (i // 5) % 4
+        p2 = gen_random_pts(n2, [ACTIONS, ["a"], ["b", "c"]][i % 3], 0.7, 1200 + i)
+        pairs += [(p1, p2), (p1, perturb(p1, [0.001, 0.05, 0.3][i % 3], 1300 + i))]
+    for i in range(24):
+        lift, q, _ = planted_pair(i)
+        pairs += [(lift, q), (lift, lift)]
+    for n in range(1, 6):
+        same = identical_rows(n, 1400 + n)
+        pairs += [(same, same), (same, perturb(same, 0.01, 1500 + n))]
+        pairs.append((identical_rows(n, 1450 + n), same))
+    tenths = PALETTES["tenths"]
+    for i in range(30):
+        p1 = palette_pts(rng, 3 + i % 3, tenths, 0.8)
+        pairs += [(p1, palette_pts(rng, 2 + i % 4, tenths, 0.8)), (p1, permuted(p1, rng)[0])]
+    for i in range(12):
+        q = palette_pts(rng, 2, tenths, 1.0)
+        pairs.append((palette_lift(rng, q, [1 + i % 3, 1 + (i // 3) % 3], tenths), q))
+    return pairs
+
+
+EPSILON_PAIRS = epsilon_pairs()
+
+
+@pytest.mark.parametrize("norm", NORM_KINDS)
+def test_exact_epsilon_matches_the_dense_scan(norm):
+    assert len(EPSILON_PAIRS) >= 200
+    found = 0
+    for p1, p2 in EPSILON_PAIRS:
+        res = epsilon_bisim_exact(p1, p2, norm_kind=norm)
+        best = naive_exact_best(p1, p2, norm)
+        if best is None:
+            assert res.epsilon == math.inf and res.k1 is None and res.k2 is None
+            continue
+        found += 1
+        assert (repr(res.epsilon), res.m, res.k1.assign, res.k2.assign) == (
+            repr(best[0]), best[1], best[2], best[3]
+        )
+    assert found >= 200

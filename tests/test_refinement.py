@@ -20,7 +20,7 @@ from pbisim import (
 )
 from pbisim.generators import gen_planted, gen_random_pts
 
-from helpers import ACTIONS, brute_coarsest, canonical, naive_coarsest
+from helpers import ACTIONS, brute_coarsest, canonical, dense, naive_coarsest
 
 
 def chain(n: int) -> LabelledPTS:
@@ -44,7 +44,7 @@ def permuted(pts: LabelledPTS, rng: random.Random) -> tuple[LabelledPTS, list[in
     perm = list(range(pts.n))
     rng.shuffle(perm)
     inv = np.argsort(perm)
-    trans = {a: pts.trans[a][np.ix_(inv, inv)] for a in pts.actions}
+    trans = {a: m[np.ix_(inv, inv)] for a, m in dense(pts).items()}
     return LabelledPTS(pts.n, pts.actions, trans), perm
 
 
@@ -101,13 +101,13 @@ def palette_lift(rng: random.Random, q: LabelledPTS, mult: list[int], palette) -
     n = int(offsets[-1])
     block = [j for j in range(q.n) for _ in range(mult[j])]
     trans = {}
-    for a in q.actions:
+    for a, qa in dense(q).items():
         m = np.zeros((n, n))
         for u in range(n):
-            for t in np.flatnonzero(q.trans[a][block[u]]):
+            for t in np.flatnonzero(qa[block[u]]):
                 shares = rng.choice([r for r in palette if len(r) <= mult[t]])
                 members = rng.sample(range(offsets[t], offsets[t + 1]), len(shares))
-                m[u, members] = [q.trans[a][block[u], t] * w for w in shares]
+                m[u, members] = [qa[block[u], t] * w for w in shares]
         trans[a] = m
     return LabelledPTS(n, q.actions, trans)
 
