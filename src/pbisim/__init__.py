@@ -26,14 +26,6 @@ from .core import (
     disjoint_union,
     validate_pts,
 )
-from .epsilon import (
-    EpsilonResult,
-    enumerate_classifications,
-    epsilon_bisim_exact,
-    epsilon_bisim_search,
-    epsilon_distance,
-    stirling2,
-)
 from .galois import (
     FiniteLattice,
     GaloisSpec,
@@ -54,6 +46,26 @@ from .matrices import (
     penrose_check,
     pseudo_inverse,
 )
+
+# Loaded on first use: only the ``epsilon`` command needs this module, and
+# every other command would otherwise pay for compiling it at start-up.
+_EPSILON_NAMES = (
+    "EpsilonResult",
+    "enumerate_classifications",
+    "epsilon_bisim_exact",
+    "epsilon_bisim_search",
+    "epsilon_distance",
+    "stirling2",
+)
+
+
+def __getattr__(name: str):
+    if name in _EPSILON_NAMES:
+        from . import epsilon
+
+        return getattr(epsilon, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BisimWitness",

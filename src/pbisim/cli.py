@@ -26,11 +26,6 @@ import traceback
 from . import __version__
 from .bisim import are_bisimilar, coarsest_bisimulation, quotient
 from .core import DEFAULT_TOL
-from .epsilon import (
-    epsilon_bisim_exact,
-    epsilon_bisim_search,
-    pair_budget,
-)
 from .errors import BudgetExceededError, ParseError, PbisimError
 from .formats import (
     parse_classification,
@@ -133,6 +128,8 @@ def _cmd_quotient(args):
 
 
 def _cmd_epsilon(args):
+    from .epsilon import epsilon_bisim_exact, epsilon_bisim_search, pair_budget
+
     p1, _, in1 = _load_pts(args.system1, args.tol)
     p2, _, in2 = _load_pts(args.system2, args.tol)
     if args.budget is not None:

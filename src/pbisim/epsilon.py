@@ -14,11 +14,14 @@ matrices, and zero distance would no longer certify bisimilarity.  The
 distance function itself (``epsilon_distance``) stays unrestricted and can
 be evaluated on any classification pair of equal class count.
 
-The exact minimiser enumerates canonical set partitions (restricted growth
-strings) of one side against all class relabelings of the other, in one
-serial scan; a seeded hill-climbing search provides upper bounds when
-enumeration is too large.  Both lump through the paper's ``K+ M K`` on
-dense per-action matrices, which each call builds once from the edges.
+The exact minimiser visits only the admissible space: each side enumerates
+the canonical refinements of its lumping hull (``lumping_hull``, a
+partition every lumping refines), keeps the lumpings, and the class
+relabelings of each admitted pair are searched by branch and bound on a
+lower bound of the norm.  A seeded hill-climbing search provides upper
+bounds when even the a-priori space is too large.  Both lump through the
+paper's ``K+ M K`` on dense per-action matrices, which each call builds
+once from the edges.
 """
 
 from __future__ import annotations
@@ -35,9 +38,10 @@ import numpy as np
 from .bisim import coarsest_bisimulation
 from .core import Classification, DEFAULT_TOL, LabelledPTS
 from .errors import BudgetExceededError, ClassCountMismatchError, InvalidRangeError
-from .matrices import classification_matrix, is_lumpable, lump, matrix_norm
+from .matrices import class_masses, classification_matrix, is_lumpable, lump, matrix_norm
 
 DEFAULT_PAIR_BUDGET = 10_000_000
+EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -62,48 +66,114 @@ class EpsilonResult:
         return self.k1.m if self.k1 is not None else None
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
+def _stirling_row(n: int) -> tuple[int, ...]:
+    """``S(n, 0..n)``, built row by row from ``S(0, .)`` without recursion."""
+    row = [1]
+    for i in range(1, n + 1):
+        row = [0] + [j * row[j] + row[j - 1] for j in range(1, i)] + [1]
+    return tuple(row)
+
+
 def stirling2(n: int, m: int) -> int:
     """Number of partitions of an n-set into m non-empty blocks."""
-    if n == 0 and m == 0:
-        return 1
-    if n == 0 or m == 0 or m > n:
-        return 0
-    return m * stirling2(n - 1, m) + stirling2(n - 1, m - 1)
+    return _stirling_row(n)[m] if 0 <= m <= n else 0
 
 
-def enumerate_classifications(n: int, m: int) -> Iterator[Classification]:
+def enumerate_classifications(
+    n: int, m: int, within: Classification | None = None
+) -> Iterator[Classification]:
     """All canonical classifications of n states into exactly m classes.
 
     Canonical form is the restricted growth string: class labels appear in
     order of first occurrence, so each set partition is produced exactly
     once.  Yields in ascending lexicographic order of the assignment;
-    the count is the Stirling partition number S(n, m).
+    the count is the Stirling partition number S(n, m).  With ``within``,
+    only the classifications that refine it are produced (states of
+    different classes of ``within`` never share a class): the product of
+    per-class set partitions, canonically labelled.
     """
     if not 1 <= m <= n:
         raise InvalidRangeError(f"need 1 <= m <= n, got m={m}, n={n}")
+    block = [0] * n if within is None else within.assign
+    first: dict[int, int] = {}
+    for s, b in enumerate(block):
+        first.setdefault(b, s)
+    # fresh[i]: blocks whose first state is i or later, each needing a new class
+    fresh = [0] * (n + 1)
+    for s in range(n - 1, -1, -1):
+        fresh[s] = fresh[s + 1] + (first[block[s]] == s)
     assign = [0] * n
+    owner: list[int] = []  # block of each class opened so far
 
     def rec(i: int, used: int) -> Iterator[Classification]:
-        if n - i < m - used:
+        if not fresh[i] <= m - used <= n - i:
             return
         if i == n:
             yield Classification(tuple(assign), m)
             return
-        limit = used + 1 if used < m else used
-        for v in range(limit):
-            assign[i] = v
-            yield from rec(i + 1, used + 1 if v == used else used)
+        for v in range(used):
+            if owner[v] == block[i]:
+                assign[i] = v
+                yield from rec(i + 1, used)
+        if used < m:
+            assign[i] = used
+            owner.append(block[i])
+            yield from rec(i + 1, used + 1)
+            owner.pop()
 
     yield from rec(0, 0)
 
 
 def pair_budget(n1: int, n2: int) -> int:
     """A-priori size of the exhaustive search space over both systems."""
-    return sum(
-        stirling2(n1, m) * stirling2(n2, m) * math.factorial(m)
-        for m in range(1, min(n1, n2) + 1)
-    )
+    r1, r2 = _stirling_row(n1), _stirling_row(n2)
+    return sum(r1[m] * r2[m] * math.factorial(m) for m in range(1, min(n1, n2) + 1))
+
+
+def lumping_hull(
+    pts: LabelledPTS, tol: float = DEFAULT_TOL, limit: int | None = None
+) -> Classification:
+    """A partition (as a classification) that every lumping refines.
+
+    Every classification that ``is_lumpable`` admits at ``tol`` refines the
+    returned partition (the hull).  Refinement in synchronous rounds: start
+    from the states' enabledness, then split every block by each (action,
+    block) column of masses, only at sorted gaps wider than ``tau = 2 n
+    tol`` plus a float slack (single linkage).  Soundness, by induction
+    over the rounds: if an admitted classification refines the current
+    blocks, each target block is a union of its classes, and two states of
+    one class have masses within ``tol`` of their class lead's into every
+    class, so within ``2 tol`` of each other per class and, summed over
+    the at most n classes in the block, within ``tau`` into the block.
+    The states of a class then span at most ``tau`` in
+    the column, so no gap wider than ``tau`` falls between them, and the
+    class stays inside one piece.  The slack bounds the rounding of all
+    these sums.  This is not ``coarsest_bisimulation``, whose groups span
+    at most ``tol``: under ``tol`` it can be finer than an admitted
+    lumping.  Stops early once there are more than ``limit`` blocks, which
+    no classification into at most ``limit`` classes refines.
+    """
+    n = pts.n
+    row, _, prob = pts.flat()
+    scale = max(1.0, float(np.bincount(row, weights=np.abs(prob)).max(initial=0.0)))
+    tau = 2 * n * tol + 8 * (n + 1) ** 2 * EPS * scale
+    block = np.unique(pts.enabled_rows().T, axis=0, return_inverse=True)[1].reshape(-1)
+    while limit is None or block.max() < limit:
+        _, table = class_masses(pts, block, int(block.max()) + 1, dense=True)
+        keys = [block]
+        for col in table.transpose(1, 0, 2).reshape(n, -1).T:
+            order = np.lexsort((col, block))
+            b, x = block[order], col[order]
+            head = np.concatenate(([True], (b[1:] != b[:-1]) | (np.diff(x) > tau)))
+            piece = np.empty(n, dtype=np.int64)
+            piece[order] = np.cumsum(head)
+            keys.append(piece)
+        refined = np.unique(np.stack(keys, axis=1), axis=0, return_inverse=True)[1].reshape(-1)
+        if refined.max() == block.max():
+            break
+        block = refined
+    return Classification(block.tolist(), int(block.max()) + 1)
 
 
 def _union_actions(p1: LabelledPTS, p2: LabelledPTS) -> tuple[str, ...]:
@@ -162,6 +232,88 @@ def epsilon_distance(
     return _family_distance(f1, f2, norm_kind)
 
 
+def _beaten(bound: float, m: int, a1: tuple[int, ...], best) -> bool:
+    """Whether every candidate ``(d >= bound, m, a1, .)`` loses to ``best``."""
+    return best is not None and (bound, m, a1) > best[:3]
+
+
+def _best_relabeling(f1, f2, a1, a2, norm_kind: str, best):
+    """``best`` improved by the class relabelings of the right side.
+
+    Branch and bound: new class ``i`` takes old class ``inv[i]`` of ``f2``
+    for ``i = 0, 1, ...``; the norm of the top-left block assigned so far
+    (partial row sums for op-inf, partial maxima for entry-max, partial
+    sums of squares for frobenius) never exceeds the full norm, since the
+    entries of ``|f1 - f2|`` only add to it.  The bound is deflated by a
+    relative margin above the summation rounding of ``m * m`` terms, so it
+    never exceeds the float that ``_family_distance`` returns, and a
+    branch is pruned only when its candidates all lose in the order of
+    ``(epsilon, m, k1, k2)``.  Leaves are scored by ``_family_distance``
+    on the relabelled family, as the full scan did, so epsilon is
+    bit-identical.
+    """
+    m = f1.shape[1]
+    x, y = f1.tolist(), f2.tolist()
+    shrink = 1.0 - (2 * m * m + 8) * EPS
+    inv: list[int] = []
+
+    def child(i: int, j: int, acc):
+        """Accumulator and bound after assigning old class j to new class i."""
+        out, bound = [], 0.0
+        for xa, ya, pa in zip(x, y, acc):
+            xi, yj = xa[i], ya[j]
+            row = [abs(xi[c] - yj[inv[c]]) for c in range(i)]
+            row.append(abs(xi[i] - yj[j]))
+            col = [abs(xa[r][i] - ya[inv[r]][j]) for r in range(i)]
+            if norm_kind == "op-inf":
+                pa = [s + d for s, d in zip(pa, col)] + [sum(row)]
+                v = max(pa)
+            elif norm_kind == "entry-max":
+                pa = v = max(pa, max(row), max(col, default=0.0))
+            else:
+                pa = pa + sum(d * d for d in row) + sum(d * d for d in col)
+                v = math.sqrt(pa)
+            out.append(pa)
+            bound = max(bound, v)
+        return bound * shrink, out
+
+    def leaf(order: list[int]) -> None:
+        nonlocal best
+        p = np.array(order)
+        d = _family_distance(f1, f2[:, p[:, None], p], norm_kind)
+        if best is not None and d > best[0]:
+            return
+        sigma = [0] * m
+        for new, old in enumerate(order):
+            sigma[old] = new
+        cand = (d, m, a1, tuple(sigma[v] for v in a2))
+        if best is None or cand < best:
+            best = cand
+
+    def visit(i: int, acc) -> None:
+        free = [j for j in range(m) if j not in inv]
+        if i >= m - 2:
+            # each child is a single relabeling: its bound would cost about
+            # as much as scoring it
+            for rest in itertools.permutations(free):
+                leaf(inv + list(rest))
+            return
+        kids = []
+        for j in free:
+            bound, sub = child(i, j, acc)
+            kids.append((bound, j, sub))
+        kids.sort()
+        for bound, j, sub in kids:
+            if _beaten(bound, m, a1, best):
+                break  # the rest have larger bounds
+            inv.append(j)
+            visit(i + 1, sub)
+            inv.pop()
+
+    visit(0, [[] if norm_kind == "op-inf" else 0.0] * f1.shape[0])
+    return best
+
+
 def epsilon_bisim_exact(
     p1: LabelledPTS,
     p2: LabelledPTS,
@@ -169,40 +321,44 @@ def epsilon_bisim_exact(
     tol: float = DEFAULT_TOL,
     budget: int = DEFAULT_PAIR_BUDGET,
 ) -> EpsilonResult:
-    """Exact epsilon by exhaustive enumeration of admissible pairs.
+    """Exact epsilon by exhaustive search of the admissible pairs.
 
-    For each shared class count m the left system ranges over canonical
-    classifications, the right over canonical classifications times all m!
-    class relabelings; pairs where either side is not a lumping of its own
-    system are discarded.  The minimum is taken in the order of
-    ``(epsilon, m, k1 assign, k2 assign)``, so ties go to fewer classes,
-    then to the lexicographically smaller assignments.  Raises
-    BudgetExceededError when the a-priori pair count exceeds ``budget``.
+    For each class count m that both sides can reach, each side ranges over
+    the canonical classifications that refine its ``lumping_hull`` and are
+    lumpings of its own system; every left-right pair then ranges over all
+    m! class relabelings of the right side, searched by branch and bound
+    (``_best_relabeling``).  Classifications that do not refine the hull
+    are never lumpings, and pruned relabelings never win, so the result is
+    that of scoring every admissible pair.  The minimum is taken in the
+    order of ``(epsilon, m, k1 assign, k2 assign)``, so ties go to fewer
+    classes, then to the lexicographically smaller assignments.  Raises
+    BudgetExceededError when the a-priori pair count (``pair_budget``)
+    exceeds ``budget``.
     """
     total = pair_budget(p1.n, p2.n)
     if total > budget:
         raise BudgetExceededError(total, budget)
     actions = _union_actions(p1, p2)
     mats1, mats2 = _dense(p1, actions), _dense(p2, actions)
+    mmax = min(p1.n, p2.n)
+    hull1, hull2 = lumping_hull(p1, tol, mmax), lumping_hull(p2, tol, mmax)
     best = None
-    for m in range(1, min(p1.n, p2.n) + 1):
-        k1s = [c for c in enumerate_classifications(p1.n, m) if is_lumpable(p1, c, tol)[0]]
+    for m in range(max(hull1.m, hull2.m), mmax + 1):
+        if _beaten(0.0, m, (), best):
+            break  # epsilon 0 at fewer classes
+        k1s = [c for c in enumerate_classifications(p1.n, m, hull1) if is_lumpable(p1, c, tol)[0]]
         if not k1s:
             continue
-        k2s = [c for c in enumerate_classifications(p2.n, m) if is_lumpable(p2, c, tol)[0]]
+        k2s = [c for c in enumerate_classifications(p2.n, m, hull2) if is_lumpable(p2, c, tol)[0]]
         if not k2s:
             continue
         fams2 = [(c, _lumped_family(mats2, c)) for c in k2s]
-        perms = list(itertools.permutations(range(m)))
-        invs = [np.argsort(np.array(s)) for s in perms]
         for c1 in k1s:
+            if _beaten(0.0, m, c1.assign, best):
+                break
             f1 = _lumped_family(mats1, c1)
             for c2, f2 in fams2:
-                for sigma, inv in zip(perms, invs):
-                    d = _family_distance(f1, f2[:, inv][:, :, inv], norm_kind)
-                    cand = (d, m, c1.assign, tuple(sigma[v] for v in c2.assign))
-                    if best is None or cand < best:
-                        best = cand
+                best = _best_relabeling(f1, f2, c1.assign, c2.assign, norm_kind, best)
     return _result(best, norm_kind, "exhaustive", True)
 
 

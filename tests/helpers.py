@@ -176,6 +176,35 @@ def planted_pair(i: int) -> tuple[LabelledPTS, LabelledPTS, Classification]:
     return lift, q, cls
 
 
+def tolerance_chain(masses) -> LabelledPTS:
+    """States that go by ``a`` to T with the given masses and to U with the
+    rest, followed by T, which loops on ``b``, and U, which loops on ``c``.
+    Masses a fraction of the tolerance apart make lumpings that group
+    states the coarsest partition keeps apart."""
+    n = len(masses) + 2
+    t, u = n - 2, n - 1
+    trans = {x: np.zeros((n, n)) for x in "abc"}
+    for s, p in enumerate(masses):
+        trans["a"][s, t], trans["a"][s, u] = p, 1.0 - p
+    trans["b"][t, t] = trans["c"][u, u] = 1.0
+    return LabelledPTS(n, ("a", "b", "c"), trans)
+
+
+def tolerance_spread(devs) -> LabelledPTS:
+    """States that go by ``a`` to T1, T2, U1 and U2 with 1/4 each, shifted
+    by ``dev`` into both T and by ``-dev`` into both U; the T loop on ``b``,
+    the U on ``c``.  Deviations under the tolerance per class add up to
+    more than it into the block {T1, T2}."""
+    k = len(devs)
+    n = k + 4
+    trans = {x: np.zeros((n, n)) for x in "abc"}
+    for s, d in enumerate(devs):
+        trans["a"][s, k:] = [0.25 + d, 0.25 + d, 0.25 - d, 0.25 - d]
+    trans["b"][[k, k + 1], [k, k + 1]] = 1.0
+    trans["c"][[k + 2, k + 3], [k + 2, k + 3]] = 1.0
+    return LabelledPTS(n, ("a", "b", "c"), trans)
+
+
 def perturbed_pair(i: int) -> tuple[LabelledPTS, LabelledPTS, float]:
     """Pair number ``i``: (base, behaviour-changing perturbed copy, delta).
 

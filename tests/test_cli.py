@@ -111,12 +111,46 @@ def test_epsilon_search_deterministic_reports(planted_files):
     assert json.dumps(ra, sort_keys=True) == json.dumps(rb, sort_keys=True)
 
 
+def test_only_the_epsilon_command_imports_epsilon(planted_files):
+    for command, code in (("bisim", 0), ("epsilon", 0)):
+        res = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "pbisim", command,
+             planted_files["lift"], planted_files["quotient"]],
+            capture_output=True, text=True,
+        )
+        assert res.returncode == code
+        assert ("pbisim.epsilon" in res.stderr) == (command == "epsilon")
+
+
 def test_epsilon_budget_exceeded_exit_code(tmp_path):
     big = gen_random_pts(8, ["a"], 1.0, 1)
     f = write(tmp_path, "big.pts", print_pts(big))
     res = run_cli("epsilon", f, f)
     assert res.returncode == 3
     assert "budget" in res.stderr
+
+
+@pytest.fixture(scope="module")
+def random600(tmp_path_factory):
+    res = run_cli("gen", "random", "--states", "600", "--density", "0.005", "--seed", "1")
+    assert res.returncode == 0
+    path = tmp_path_factory.mktemp("r600") / "r600.pts"
+    path.write_text(res.stdout)
+    return str(path)
+
+
+def test_epsilon_budget_on_600_states_exits_three(random600):
+    # the a-priori pair count is computed without recursion
+    res = run_cli("epsilon", random600, random600)
+    assert res.returncode == 3
+    assert "exhaustive search needs" in res.stderr and "budget is 10000000" in res.stderr
+
+
+def test_epsilon_search_on_600_states_reports_the_pair_space(random600):
+    res = run_cli("epsilon", random600, random600, "--budget", "10", "--json")
+    assert res.returncode in (0, 1), res.stderr
+    report = json.loads(res.stdout)["result"]
+    assert report["pair_space"] > 10**1000 and report["method"] == "local-search"
 
 
 def test_malformed_file_exits_two_with_line_number(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -7,13 +8,16 @@ from pbisim import (
     Classification,
     LabelledPTS,
     are_bisimilar,
+    coarsest_bisimulation,
     enumerate_classifications,
     epsilon_bisim_exact,
     epsilon_bisim_search,
     epsilon_distance,
+    is_lumpable,
     stirling2,
 )
-from pbisim.epsilon import pair_budget
+from pbisim.core import DEFAULT_TOL
+from pbisim.epsilon import lumping_hull, pair_budget
 from pbisim.errors import (
     BudgetExceededError,
     ClassCountMismatchError,
@@ -21,7 +25,13 @@ from pbisim.errors import (
 )
 from pbisim.generators import gen_planted, gen_random_pts, perturb
 
-from helpers import brute_canonical_classifications, planted_pair
+from helpers import (
+    brute_canonical_classifications,
+    naive_exact_best,
+    planted_pair,
+    tolerance_chain,
+    tolerance_spread,
+)
 
 
 def test_enumerate_single_class():
@@ -49,6 +59,41 @@ def test_enumeration_counts_match_stirling(n):
     for m in range(1, n + 1):
         assert sum(1 for _ in enumerate_classifications(n, m)) == stirling2(n, m)
         assert len(brute_canonical_classifications(n, m)) == stirling2(n, m) or n > 6
+
+
+def test_enumerate_refinements_of_a_partition():
+    within = Classification((1, 0, 1, 1, 0), 2)  # {1, 4} and {0, 2, 3}
+    for m in range(1, 6):
+        got = [c.assign for c in enumerate_classifications(5, m, within)]
+        block = within.assign
+        expected = sorted(
+            a for a in brute_canonical_classifications(5, m)
+            if all(block[s] == block[t] for s in range(5) for t in range(5) if a[s] == a[t])
+        )
+        assert got == expected
+    # product of per-block set partitions: Bell(2) * Bell(3)
+    assert sum(1 for m in range(1, 6) for _ in enumerate_classifications(5, m, within)) == 2 * 5
+
+
+def _stirling_reference(n, m):
+    if n == 0 or m == 0:
+        return int(n == m)
+    return m * _stirling_reference(n - 1, m) + _stirling_reference(n - 1, m - 1)
+
+
+def test_stirling_rows_match_the_recurrence():
+    for n in range(12):
+        for m in range(-1, n + 2):
+            assert stirling2(n, m) == (_stirling_reference(n, m) if m >= 0 else 0)
+    for n1 in range(12):
+        for n2 in range(12):
+            assert pair_budget(n1, n2) == sum(
+                _stirling_reference(n1, m) * _stirling_reference(n2, m) * math.factorial(m)
+                for m in range(1, min(n1, n2) + 1)
+            )
+    # no recursion: a 600-state budget is a number, not a RecursionError
+    assert pair_budget(600, 600) > 10**1000
+    assert stirling2(600, 599) == math.comb(600, 2)
 
 
 def test_enumerate_invalid_range():
@@ -136,6 +181,72 @@ def test_exact_budget_exceeded():
     with pytest.raises(BudgetExceededError) as exc:
         epsilon_bisim_exact(p, p)
     assert exc.value.count == pair_budget(8, 8)
+
+
+def test_exact_keeps_lumpings_finer_than_tolerance_groups():
+    # s1 and s2 are 0.6 tol apart and form a lumping (lead s1), but the
+    # coarsest partition groups each column leader-first within tol: into
+    # T it pairs s0 with s1, into U s2 with s1, so all three end apart
+    tol = DEFAULT_TOL
+    p1 = tolerance_chain([0.5, 0.5 + 0.6 * tol, 0.5 + 1.2 * tol])
+    p2 = tolerance_chain([0.5, 0.5 + 0.9 * tol])
+    assert coarsest_bisimulation(p1).m == 5
+    res = epsilon_bisim_exact(p1, p2)
+    assert (repr(res.epsilon), res.m, res.k1.assign, res.k2.assign) == (
+        "1.6653345369377348e-16", 4, (0, 1, 1, 2, 3), (0, 1, 2, 3)
+    )
+    assert naive_exact_best(p1, p2) == (res.epsilon, res.m, res.k1.assign, res.k2.assign)
+
+
+def test_exact_keeps_lumpings_whose_block_masses_differ_by_more_than_tol():
+    # s0 and s1 differ by 0.9 tol into each of T1, T2, U1 and U2, so by
+    # 1.8 tol into {T1, T2}; grouping them needs the T and the U apart
+    tol = DEFAULT_TOL
+    p1, p2 = tolerance_spread([0.0, 0.9 * tol]), tolerance_spread([0.3 * tol])
+    res = epsilon_bisim_exact(p1, p2)
+    assert (res.epsilon, res.m, res.k1.assign, res.k2.assign) == naive_exact_best(p1, p2)
+    assert res.m == 5 and res.k1.assign == (0, 0, 1, 2, 3, 4)
+    assert res.epsilon < tol
+
+
+def test_every_lumping_refines_the_hull():
+    tol = DEFAULT_TOL
+    systems = [planted_pair(i)[0] for i in range(12)]
+    systems += [gen_random_pts(5, ["a", "b"], 0.6, 90 + i) for i in range(6)]
+    systems += [
+        tolerance_chain([0.5 + k * step * tol for k in range(length)])
+        for step in (0.3, 0.6, 0.9, 1.1, 2.5) for length in (2, 3, 4)
+    ]
+    systems += [tolerance_spread([0.0, 0.9 * tol]), tolerance_spread([0.0, -0.6 * tol, 0.9 * tol])]
+    admitted = outside = 0
+    for pts in systems:
+        # stopping early leaves an earlier round's partition: also a hull
+        for hull in (lumping_hull(pts), lumping_hull(pts, limit=1)):
+            for m in range(1, pts.n + 1):
+                inside = set(enumerate_classifications(pts.n, m, hull))
+                for c in enumerate_classifications(pts.n, m):
+                    if is_lumpable(pts, c, tol)[0]:
+                        assert c in inside
+                        admitted += 1
+                    else:
+                        outside += c not in inside
+    assert admitted >= 150 and outside >= 3000
+
+
+def test_exact_self_distance_outpaces_the_full_scan():
+    q = gen_random_pts(3, ["a", "b"], 0.8, 17)
+    lift, _ = gen_planted(q, [3, 3, 2], 18)
+    t0 = time.perf_counter()
+    slow = naive_exact_best(lift, lift)
+    naive_s = time.perf_counter() - t0
+    fast_s = float("inf")
+    for _ in range(3):
+        t0 = time.perf_counter()
+        res = epsilon_bisim_exact(lift, lift, budget=10**12)
+        fast_s = min(fast_s, time.perf_counter() - t0)
+    assert (res.epsilon, res.m, res.k1.assign, res.k2.assign) == slow
+    assert res.epsilon == 0.0 and res.m == 3
+    assert naive_s >= 20 * fast_s, (naive_s, fast_s)
 
 
 def test_exact_unbounded_when_no_common_class_count():

@@ -34,6 +34,7 @@ from pbisim import (
     quotient,
     validate_pts,
 )
+from pbisim.core import DEFAULT_TOL
 from pbisim.errors import NotLumpableError, PbisimError, RowSumError
 from pbisim import matrices
 from pbisim.formats import parse_pts, print_pts
@@ -52,6 +53,8 @@ from helpers import (
     naive_quotient,
     naive_validate_pts,
     planted_pair,
+    tolerance_chain,
+    tolerance_spread,
 )
 from test_refinement import PALETTES, dyadic_corpus, fraction_corpus, palette_lift, palette_pts, permuted
 
@@ -334,9 +337,11 @@ def identical_rows(n: int, seed: int):
 
 
 def epsilon_pairs():
-    """Seeded pairs with n <= 6: random (also over different alphabets),
+    """Seeded pairs with n <= 7: random (also over different alphabets),
     perturbed, planted lifts against their quotients and against
-    themselves, all-identical rows, and rows of 0.1/0.2/0.7."""
+    themselves, all-identical rows (six states: every classification is a
+    lumping), rows of 0.1/0.2/0.7, and chains of masses a fraction of the
+    tolerance apart."""
     rng = random.Random(61)
     pairs = []
     for i in range(60):
@@ -351,6 +356,21 @@ def epsilon_pairs():
         same = identical_rows(n, 1400 + n)
         pairs += [(same, same), (same, perturb(same, 0.01, 1500 + n))]
         pairs.append((identical_rows(n, 1450 + n), same))
+    same = identical_rows(6, 1406)
+    pairs += [(same, same), (same, perturb(same, 0.01, 1506))]
+    for i in range(4):
+        p1 = gen_random_pts(7, ACTIONS, 0.7, 1600 + i)
+        pairs.append((p1, perturb(p1, [0.001, 0.05][i % 2], 1650 + i)))
+    lift, _ = gen_planted(gen_random_pts(3, ACTIONS, 0.8, 1700), [3, 2, 2], 1701)
+    pairs += [(lift, gen_random_pts(3, ACTIONS, 0.8, 1700)), (lift, perturb(lift, 0.01, 1702))]
+    steps = [s * DEFAULT_TOL for s in (0.3, 0.6, 0.9)]
+    for i, (k1, k2) in enumerate([(3, 2), (4, 3), (2, 4), (3, 3), (4, 4)] * 2):
+        p1 = tolerance_chain([0.5 + j * steps[i % 3] for j in range(k1)])
+        p2 = tolerance_chain([0.5 + j * steps[(i + 1 + i // 5) % 3] for j in range(k2)])
+        pairs.append((p1, p2))
+    for devs in ([0.0, 0.9], [0.0, -0.6], [0.5, -0.5]):
+        p1 = tolerance_spread([d * DEFAULT_TOL for d in devs])
+        pairs += [(p1, tolerance_spread([0.3 * DEFAULT_TOL])), (p1, p1)]
     tenths = PALETTES["tenths"]
     for i in range(30):
         p1 = palette_pts(rng, 3 + i % 3, tenths, 0.8)
