@@ -19,85 +19,39 @@ Library surface:
 
 __version__ = "0.1.0"
 
-from .bisim import BisimWitness, are_bisimilar, coarsest_bisimulation, quotient
-from .core import (
-    Classification,
-    LabelledPTS,
-    disjoint_union,
-    validate_pts,
-)
-from .galois import (
-    FiniteLattice,
-    GaloisSpec,
-    KripkeStructure,
-    Relation,
-    check_abstraction_basis,
-    check_galois,
-    induced_relation,
-    is_simulation,
-    largest_simulation,
-)
-from .generators import gen_planted, gen_random_pts, perturb
-from .matrices import (
-    classification_matrix,
-    is_lumpable,
-    lump,
-    matrix_norm,
-    penrose_check,
-    pseudo_inverse,
-)
+import importlib
 
-# Loaded on first use: only the ``epsilon`` command needs this module, and
-# every other command would otherwise pay for compiling it at start-up.
-_EPSILON_NAMES = (
-    "EpsilonResult",
-    "enumerate_classifications",
-    "epsilon_bisim_exact",
-    "epsilon_bisim_search",
-    "epsilon_distance",
-    "stirling2",
-)
+# Every public name, by the submodule that defines it.  Nothing is imported
+# here: ``__getattr__`` (PEP 562) loads a submodule when one of its names,
+# or the submodule itself, is first used, so each command of the
+# command-line front end loads only the modules it runs.
+_EXPORTS = {
+    "bisim": ("BisimWitness", "are_bisimilar", "coarsest_bisimulation", "quotient"),
+    "core": ("Classification", "LabelledPTS", "disjoint_union", "validate_pts"),
+    "epsilon": (
+        "EpsilonResult", "enumerate_classifications", "epsilon_bisim_exact",
+        "epsilon_bisim_search", "epsilon_distance", "stirling2",
+    ),
+    "galois": (
+        "FiniteLattice", "GaloisSpec", "KripkeStructure", "Relation",
+        "check_abstraction_basis", "check_galois", "induced_relation",
+        "is_simulation", "largest_simulation",
+    ),
+    "generators": ("gen_planted", "gen_random_pts", "perturb"),
+    "matrices": (
+        "classification_matrix", "is_lumpable", "lump", "matrix_norm",
+        "penrose_check", "pseudo_inverse",
+    ),
+}
+_SUBMODULES = {"cli", "errors", "formats", "report", *_EXPORTS}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name: str):
-    if name in _EPSILON_NAMES:
-        from . import epsilon
-
-        return getattr(epsilon, name)
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _MODULE_OF:
+        return getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-__all__ = [
-    "BisimWitness",
-    "Classification",
-    "EpsilonResult",
-    "FiniteLattice",
-    "GaloisSpec",
-    "KripkeStructure",
-    "LabelledPTS",
-    "Relation",
-    "are_bisimilar",
-    "check_abstraction_basis",
-    "check_galois",
-    "classification_matrix",
-    "coarsest_bisimulation",
-    "disjoint_union",
-    "enumerate_classifications",
-    "epsilon_bisim_exact",
-    "epsilon_bisim_search",
-    "epsilon_distance",
-    "gen_planted",
-    "gen_random_pts",
-    "induced_relation",
-    "is_lumpable",
-    "is_simulation",
-    "largest_simulation",
-    "lump",
-    "matrix_norm",
-    "penrose_check",
-    "perturb",
-    "pseudo_inverse",
-    "quotient",
-    "stirling2",
-    "validate_pts",
-]

@@ -103,16 +103,11 @@ class _Refinement:
         n = pts.n
         self.tol = tol
         self.n_actions = len(pts.actions)
-        origin, dst, prob = [], [], []
-        for i, a in enumerate(pts.actions):
-            e = pts.edges[a]
-            origin.append(e.src() * self.n_actions + i)
-            dst.append(e.dst)
-            prob.append(e.prob)
-        dst = np.concatenate(dst)
+        row, dst, prob = pts.flat()
+        action, src = np.divmod(row, n)
         order = np.argsort(dst, kind="stable")
-        self.origin = np.concatenate(origin)[order]
-        self.prob = np.concatenate(prob)[order]
+        self.origin = (src * self.n_actions + action)[order]
+        self.prob = prob[order]
         self.ptr = np.concatenate(([0], np.cumsum(np.bincount(dst, minlength=n))))
         # masses at most this far from 0 count as absent
         self.absent = tol / 2 if (self.prob < 0).any() else tol

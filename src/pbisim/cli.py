@@ -26,7 +26,7 @@ import traceback
 from . import __version__
 from .bisim import are_bisimilar, coarsest_bisimulation, quotient
 from .core import DEFAULT_TOL
-from .errors import BudgetExceededError, ParseError, PbisimError
+from .errors import MAX_DIGITS, BudgetExceededError, ParseError, PbisimError
 from .formats import (
     parse_classification,
     parse_galois,
@@ -36,21 +36,7 @@ from .formats import (
     print_classification,
     print_pts,
 )
-from .galois import check_abstraction_basis, check_galois, is_simulation, largest_simulation
-from .generators import gen_planted, gen_random_pts, perturb
 from .report import input_entry, make_report, report_json
-
-
-def _read(path: str) -> tuple[str, bytes]:
-    if path == "-":
-        data = sys.stdin.buffer.read()
-    else:
-        try:
-            with open(path, "rb") as fh:
-                data = fh.read()
-        except OSError as exc:
-            raise ParseError(f"cannot read {path!r}: {exc.strerror}") from None
-    return path, data
 
 
 def _decode(data: bytes) -> str:
@@ -63,10 +49,18 @@ def _decode(data: bytes) -> str:
         raise ParseError(f"invalid UTF-8 byte 0x{data[exc.start]:02x}", line) from None
 
 
-def _load_pts(path: str, tol: float):
-    name, data = _read(path)
-    pts, names = parse_pts(_decode(data), tol)
-    return pts, names, input_entry(name, data)
+def _load(path: str, parse, *args):
+    """Read, decode and parse one input file ('-' is standard input): the
+    parsed value and its report entry."""
+    if path == "-":
+        data = sys.stdin.buffer.read()
+    else:
+        try:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        except OSError as exc:
+            raise ParseError(f"cannot read {path!r}: {exc.strerror}") from None
+    return parse(_decode(data), *args), input_entry(path, data)
 
 
 def _assign_by_name(names, classification):
@@ -74,8 +68,8 @@ def _assign_by_name(names, classification):
 
 
 def _cmd_bisim(args):
-    p1, names1, in1 = _load_pts(args.system1, args.tol)
-    p2, names2, in2 = _load_pts(args.system2, args.tol)
+    (p1, names1), in1 = _load(args.system1, parse_pts, args.tol)
+    (p2, names2), in2 = _load(args.system2, parse_pts, args.tol)
     ok, witness = are_bisimilar(p1, p2, args.tol)
     params = {"tol": args.tol}
     if ok:
@@ -105,16 +99,15 @@ def _cmd_bisim(args):
 
 
 def _cmd_quotient(args):
-    pts, names, entry = _load_pts(args.system, args.tol)
+    (pts, names), entry = _load(args.system, parse_pts, args.tol)
+    inputs = [entry]
     if args.coarsest:
         cls = coarsest_bisimulation(pts, args.tol)
         cls_source = "coarsest"
-        inputs = [entry]
     else:
-        path, data = _read(args.partition)
-        cls = parse_classification(_decode(data), names)
+        cls, cls_entry = _load(args.partition, parse_classification, names)
         cls_source = "file"
-        inputs = [entry, input_entry(path, data)]
+        inputs.append(cls_entry)
     q = quotient(pts, cls, args.tol)
     qnames = tuple(f"c{j}" for j in range(q.n))
     text = print_pts(q, qnames)
@@ -130,8 +123,8 @@ def _cmd_quotient(args):
 def _cmd_epsilon(args):
     from .epsilon import epsilon_bisim_exact, epsilon_bisim_search, pair_budget
 
-    p1, _, in1 = _load_pts(args.system1, args.tol)
-    p2, _, in2 = _load_pts(args.system2, args.tol)
+    (p1, _), in1 = _load(args.system1, parse_pts, args.tol)
+    (p2, _), in2 = _load(args.system2, parse_pts, args.tol)
     if args.budget is not None:
         res = epsilon_bisim_search(
             p1, p2, norm_kind=args.norm, budget=args.budget, seed=args.seed, tol=args.tol
@@ -152,6 +145,7 @@ def _cmd_epsilon(args):
             "tol": args.tol,
         }
     finite = res.epsilon != float("inf")
+    space = pair_budget(p1.n, p2.n)
     result = {
         "epsilon": res.epsilon if finite else None,
         "admissible_pair_found": finite,
@@ -160,7 +154,7 @@ def _cmd_epsilon(args):
         "k2": list(res.k2.assign) if res.k2 else None,
         "method": res.method,
         "optimal": res.optimal,
-        "pair_space": pair_budget(p1.n, p2.n),
+        "pair_space": space if space < 10**MAX_DIGITS else None,
     }
     human = [
         f"epsilon: {res.epsilon!r}" if finite else "epsilon: unbounded (no admissible pair)",
@@ -175,11 +169,11 @@ def _cmd_epsilon(args):
 
 
 def _cmd_sim_check(args):
-    cpath, cdata = _read(args.concrete)
-    apath, adata = _read(args.abstract)
-    c, cnames = parse_kripke(_decode(cdata))
-    a, anames = parse_kripke(_decode(adata))
-    inputs = [input_entry(cpath, cdata), input_entry(apath, adata)]
+    from .galois import is_simulation, largest_simulation
+
+    (c, cnames), c_entry = _load(args.concrete, parse_kripke)
+    (a, anames), a_entry = _load(args.abstract, parse_kripke)
+    inputs = [c_entry, a_entry]
     if args.largest:
         rel = largest_simulation(c, a)
         ok, cex = is_simulation(c, a, rel)
@@ -193,9 +187,8 @@ def _cmd_sim_check(args):
         human = ["largest simulation:"] + [f"  {cnames[i]} {anames[j]}" for i, j in pairs]
         code = 0
     else:
-        rpath, rdata = _read(args.relation)
-        inputs.append(input_entry(rpath, rdata))
-        rel = parse_relation(_decode(rdata), cnames, anames)
+        rel, r_entry = _load(args.relation, parse_relation, cnames, anames)
+        inputs.append(r_entry)
         ok, cex = is_simulation(c, a, rel)
         params = {"relation": "file"}
         result = {
@@ -221,9 +214,10 @@ def _mask_names(mask: int, names) -> list[str]:
 
 
 def _cmd_galois_check(args):
-    gpath, gdata = _read(args.spec)
-    g, cnames, anames = parse_galois(_decode(gdata))
-    inputs = [input_entry(gpath, gdata)]
+    from .galois import check_abstraction_basis, check_galois
+
+    (g, cnames, anames), g_entry = _load(args.spec, parse_galois)
+    inputs = [g_entry]
     ok, violation = check_galois(g)
     params = {"against": bool(args.against)}
     result = {
@@ -237,11 +231,9 @@ def _cmd_galois_check(args):
         human.append(f"violation: {violation}")
     code = 0 if ok else 1
     if ok and args.against:
-        cpath, cdata = _read(args.against[0])
-        apath, adata = _read(args.against[1])
-        c, knames = parse_kripke(_decode(cdata))
-        a, asnames = parse_kripke(_decode(adata))
-        inputs += [input_entry(cpath, cdata), input_entry(apath, adata)]
+        (c, knames), c_entry = _load(args.against[0], parse_kripke)
+        (a, asnames), a_entry = _load(args.against[1], parse_kripke)
+        inputs += [c_entry, a_entry]
         if sorted(knames) != sorted(cnames):
             raise ParseError(
                 "concrete structure states do not match the alpha: lines of the spec"
@@ -291,18 +283,19 @@ def _write_or_none(path, text):
 
 
 def _cmd_gen(args):
+    from .generators import gen_planted, gen_random_pts, perturb
+
     params = {"seed": args.seed}
+    inputs = []
     sidecar_text = None
     if args.kind == "random":
         pts = gen_random_pts(args.states, _parse_actions(args.actions), args.density, args.seed)
         params.update({"kind": "random", "states": args.states,
                        "actions": args.actions, "density": args.density})
-        inputs = []
     elif args.kind == "planted":
         if args.quotient:
-            qpath, qdata = _read(args.quotient)
-            q, _ = parse_pts(_decode(qdata))
-            inputs = [input_entry(qpath, qdata)]
+            (q, _), entry = _load(args.quotient, parse_pts)
+            inputs.append(entry)
             params.update({"kind": "planted", "quotient": "file"})
         else:
             if args.quotient_states is None:
@@ -311,7 +304,6 @@ def _cmd_gen(args):
                 args.quotient_states, _parse_actions(args.actions), args.density,
                 args.seed + 1,
             )
-            inputs = []
             params.update({
                 "kind": "planted", "quotient": "generated",
                 "quotient_states": args.quotient_states,
@@ -326,9 +318,8 @@ def _cmd_gen(args):
         pts, cls = gen_planted(q, mult, args.seed)
         sidecar_text = print_classification(cls)
     else:
-        path, data = _read(args.input)
-        base, _ = parse_pts(_decode(data))
-        inputs = [input_entry(path, data)]
+        (base, _), entry = _load(args.input, parse_pts)
+        inputs.append(entry)
         pts = perturb(base, args.delta, args.seed)
         params.update({"kind": "perturb", "delta": args.delta})
     text = print_pts(pts)

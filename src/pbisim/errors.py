@@ -4,6 +4,12 @@ Errors map onto CLI exit codes: parse/validation problems exit with 2,
 an exceeded enumeration budget exits with 3.
 """
 
+import math
+
+# Counts of more decimal digits than this are reported approximately:
+# Python's default limit refuses to turn them into text.
+MAX_DIGITS = 4300
+
 
 class PbisimError(Exception):
     """Base class for every error raised by this package."""
@@ -77,6 +83,8 @@ class BudgetExceededError(PbisimError):
     def __init__(self, count: int, budget: int):
         self.count = count
         self.budget = budget
+        if count >= 10**MAX_DIGITS:
+            count = f"about 10^{int((count.bit_length() - 1) * math.log10(2))}"
         super().__init__(
             f"exhaustive search needs {count} classification pairs, "
             f"budget is {budget}"

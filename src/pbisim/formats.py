@@ -29,11 +29,15 @@ Printing followed by parsing reproduces the same in-memory value.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from .core import Classification, DEFAULT_TOL, LabelledPTS, edges_from_sorted, validate_pts
 from .errors import ParseError, UnknownNameError
-from .galois import FiniteLattice, GaloisSpec, KripkeStructure, Relation
+
+if TYPE_CHECKING:  # the Kripke-side parsers import these when called
+    from .galois import GaloisSpec, KripkeStructure, Relation
 
 
 def _lines(text: str):
@@ -225,6 +229,8 @@ def print_classification(c: Classification, names: tuple[str, ...] | None = None
 
 
 def parse_kripke(text: str) -> tuple[KripkeStructure, tuple[str, ...]]:
+    from .galois import KripkeStructure
+
     names: list[str] | None = None
     marked: list[int] = []
     edges: set[tuple[int, int]] = set()
@@ -273,6 +279,8 @@ def print_kripke(k: KripkeStructure, names: tuple[str, ...] | None = None) -> st
 def parse_relation(
     text: str, c_names: tuple[str, ...], a_names: tuple[str, ...]
 ) -> Relation:
+    from .galois import Relation
+
     c_index = {s: i for i, s in enumerate(c_names)}
     a_index = {s: i for i, s in enumerate(a_names)}
     pairs: set[tuple[int, int]] = set()
@@ -297,6 +305,8 @@ def parse_galois(text: str) -> tuple[GaloisSpec, tuple[str, ...], tuple[str, ...
     Concrete states are introduced by ``alpha:`` lines in order of first
     appearance.
     """
+    from .galois import FiniteLattice, GaloisSpec
+
     abstract: list[str] | None = None
     a_index: dict[str, int] = {}
     leq_pairs: list[tuple[int, int]] = []

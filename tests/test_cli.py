@@ -111,15 +111,48 @@ def test_epsilon_search_deterministic_reports(planted_files):
     assert json.dumps(ra, sort_keys=True) == json.dumps(rb, sort_keys=True)
 
 
-def test_only_the_epsilon_command_imports_epsilon(planted_files):
-    for command, code in (("bisim", 0), ("epsilon", 0)):
+COMMON_MODULES = {"bisim", "cli", "core", "errors", "formats", "matrices", "report"}
+
+
+def test_each_command_imports_only_the_modules_it_runs(planted_files):
+    tmp = planted_files["tmp"]
+    kripke = write(tmp, "c.kripke", "states: c0 c1\nc0 -> c1\n")
+    galois = write(tmp, "g.galois", "abstract: top\nalpha: c0 top\n")
+    lift, quotient = planted_files["lift"], planted_files["quotient"]
+    table = [
+        (["bisim", lift, quotient], set()),
+        (["quotient", lift, "--coarsest"], set()),
+        (["epsilon", lift, quotient], {"epsilon"}),
+        (["sim-check", kripke, kripke, "--largest"], {"galois"}),
+        (["galois-check", galois], {"galois"}),
+        (["gen", "random", "--states", "3", "--seed", "1"], {"generators"}),
+    ]
+    for argv, extra in table:
         res = subprocess.run(
-            [sys.executable, "-X", "importtime", "-m", "pbisim", command,
-             planted_files["lift"], planted_files["quotient"]],
+            [sys.executable, "-X", "importtime", "-m", "pbisim", *argv],
             capture_output=True, text=True,
         )
-        assert res.returncode == code
-        assert ("pbisim.epsilon" in res.stderr) == (command == "epsilon")
+        assert res.returncode == 0, res.stderr
+        loaded = {line.rsplit("|", 1)[1].strip() for line in res.stderr.splitlines()
+                  if line.startswith("import time:")}
+        modules = {m.split(".", 1)[1] for m in loaded if m.startswith("pbisim.")}
+        assert modules == COMMON_MODULES | extra, argv[0]
+
+
+def test_the_package_resolves_every_public_name_lazily():
+    import importlib
+
+    import pbisim
+
+    assert len(pbisim.__all__) == len(set(pbisim.__all__)) == 32
+    for name in pbisim.__all__:
+        obj = getattr(pbisim, name)
+        assert getattr(importlib.import_module(obj.__module__), name) is obj
+    for sub in ("bisim", "cli", "core", "epsilon", "errors", "formats", "galois",
+                "generators", "matrices", "report"):
+        assert getattr(pbisim, sub) is importlib.import_module(f"pbisim.{sub}")
+    with pytest.raises(AttributeError, match="no_such_name"):
+        pbisim.no_such_name
 
 
 def test_epsilon_budget_exceeded_exit_code(tmp_path):
@@ -151,6 +184,20 @@ def test_epsilon_search_on_600_states_reports_the_pair_space(random600):
     assert res.returncode in (0, 1), res.stderr
     report = json.loads(res.stdout)["result"]
     assert report["pair_space"] > 10**1000 and report["method"] == "local-search"
+
+
+def test_epsilon_on_1000_states_writes_the_pair_space_approximately(tmp_path):
+    # pair_budget(1000, 1000) has 4,334 digits, past Python's default
+    # limit for converting an int to text
+    res = run_cli("gen", "random", "--states", "1000", "--density", "0.003", "--seed", "1")
+    f = write(tmp_path, "r1000.pts", res.stdout)
+    exact = run_cli("epsilon", f, f)
+    assert exact.returncode == 3, exact.stderr
+    assert "needs about 10^4333 classification pairs, budget is 10000000" in exact.stderr
+    search = run_cli("epsilon", f, f, "--budget", "5", "--json")
+    assert search.returncode in (0, 1), search.stderr
+    report = json.loads(search.stdout)["result"]
+    assert report["pair_space"] is None and report["method"] == "local-search"
 
 
 def test_malformed_file_exits_two_with_line_number(tmp_path):

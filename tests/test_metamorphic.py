@@ -161,3 +161,48 @@ def test_exact_epsilon_is_symmetric_and_invariant_under_renaming(tmp_path, capsy
             assert code2 == code
             assert (other["epsilon"], other["classes"]) == (base["epsilon"], base["classes"])
     assert positive == {True, False}
+
+
+def blocks(*assigns, undo=None) -> set[frozenset]:
+    """The partition that ``name -> class`` maps define, as a set of name
+    sets, with every name mapped back through ``undo``."""
+    by_class: dict[int, set] = {}
+    for assign in assigns:
+        for name, c in assign.items():
+            by_class.setdefault(c, set()).add(undo[name] if undo else name)
+    return {frozenset(b) for b in by_class.values()}
+
+
+def test_bisim_and_coarsest_quotient_are_invariant_under_renaming(tmp_path, capsys):
+    def bisim(paths):
+        return ["bisim", *paths]
+
+    def coarsest(paths):
+        return ["quotient", *paths, "--coarsest"]
+
+    verdicts = set()
+    for i in range(12):
+        rng = random.Random(i)
+        pair = planted_pair(i)[:2] if i % 2 == 0 else random_pair(i)
+        names = [tuple(f"{p}{s}" for s in range(pts.n)) for p, pts in zip("pq", pair)]
+        files = [(f"{j}.pts", print_pts(pts, nm)) for j, (pts, nm) in enumerate(zip(pair, names))]
+        code, base = run(tmp_path, capsys, bisim, files)
+        verdicts.add(base["bisimilar"])
+        # the first input only permuted, the second also renamed
+        for side, prefix in ((0, ""), (1, "x")):
+            moved, moved_names = relabelled_pts(pair[side], names[side], rng, prefix)
+            undo = {name: name for name in [*names[0], *names[1]]}
+            undo.update((new, new[len(prefix):]) for new in moved_names)
+            variant = list(files)
+            variant[side] = (f"{side}.pts", print_pts(moved, moved_names))
+            code2, other = run(tmp_path, capsys, bisim, variant)
+            assert (code2, other["bisimilar"], other["classes"]) == (
+                code, base["bisimilar"], base["classes"])
+            if base["bisimilar"]:
+                assert blocks(other["k1"], other["k2"], undo=undo) == blocks(base["k1"], base["k2"])
+
+            _, q = run(tmp_path, capsys, coarsest, files[side:side + 1])
+            _, q2 = run(tmp_path, capsys, coarsest, variant[side:side + 1])
+            assert q2["classes"] == q["classes"]
+            assert blocks(q2["classification"], undo=undo) == blocks(q["classification"])
+    assert verdicts == {True, False}
