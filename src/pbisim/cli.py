@@ -177,7 +177,7 @@ def _cmd_sim_check(args):
     if args.largest:
         rel = largest_simulation(c, a)
         ok, cex = is_simulation(c, a, rel)
-        pairs = sorted(rel.pairs)
+        pairs = rel.pairs.tolist()
         params = {"relation": "largest"}
         result = {
             "simulation": ok,
@@ -270,7 +270,19 @@ def _parse_actions(spec: str) -> list[str]:
     labels = [s for s in spec.split(",") if s]
     if not labels:
         raise ParseError(f"bad action list {spec!r}")
+    if len(set(labels)) != len(labels):
+        raise ParseError(f"duplicate action label in {spec!r}")
     return labels
+
+
+def _parse_multiplicities(spec: str) -> list[int]:
+    mult = []
+    for tok in (t for t in spec.split(",") if t):
+        try:
+            mult.append(int(tok))
+        except ValueError:
+            raise ParseError(f"bad multiplicity {tok!r}") from None
+    return mult
 
 
 def _write_or_none(path, text):
@@ -309,7 +321,7 @@ def _cmd_gen(args):
                 "quotient_states": args.quotient_states,
                 "actions": args.actions, "density": args.density,
             })
-        mult = [int(t) for t in args.multiplicities.split(",") if t]
+        mult = _parse_multiplicities(args.multiplicities)
         if len(mult) != q.n:
             raise ParseError(
                 f"{len(mult)} multiplicities for a {q.n}-state quotient"

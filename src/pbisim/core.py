@@ -227,7 +227,7 @@ def disjoint_union(p1: LabelledPTS, p2: LabelledPTS) -> tuple[LabelledPTS, int]:
     returned as the offset.  Actions missing from one side contribute empty
     rows for that side's states.
     """
-    actions = tuple(p1.actions) + tuple(a for a in p2.actions if a not in p1.actions)
+    actions = union_actions(p1, p2)
     edges = {}
     for a in actions:
         e1 = p1.edges.get(a, _no_edges(p1.n))
@@ -240,6 +240,11 @@ def disjoint_union(p1: LabelledPTS, p2: LabelledPTS) -> tuple[LabelledPTS, int]:
         for arr in edges[a]:
             arr.setflags(write=False)
     return LabelledPTS.from_edges(p1.n + p2.n, actions, edges), p1.n
+
+
+def union_actions(p1: LabelledPTS, p2: LabelledPTS) -> tuple[str, ...]:
+    """``p1``'s actions in order, then the labels found only in ``p2``."""
+    return tuple(p1.actions) + tuple(a for a in p2.actions if a not in p1.actions)
 
 
 def _no_edges(n: int) -> Edges:

@@ -36,7 +36,7 @@ from typing import Iterator
 import numpy as np
 
 from .bisim import coarsest_bisimulation
-from .core import Classification, DEFAULT_TOL, LabelledPTS
+from .core import Classification, DEFAULT_TOL, LabelledPTS, union_actions
 from .errors import BudgetExceededError, ClassCountMismatchError, InvalidRangeError
 from .matrices import class_masses, classification_matrix, is_lumpable, lump, matrix_norm
 
@@ -176,10 +176,6 @@ def lumping_hull(
     return Classification(block.tolist(), int(block.max()) + 1)
 
 
-def _union_actions(p1: LabelledPTS, p2: LabelledPTS) -> tuple[str, ...]:
-    return tuple(p1.actions) + tuple(a for a in p2.actions if a not in p1.actions)
-
-
 def _dense(pts: LabelledPTS, actions) -> list[np.ndarray]:
     """Matrix per action of ``actions``, all zero where ``pts`` lacks the label."""
     mats = []
@@ -226,7 +222,7 @@ def epsilon_distance(
     """
     if k1.m != k2.m:
         raise ClassCountMismatchError(f"k1 has {k1.m} classes, k2 has {k2.m}")
-    actions = _union_actions(p1, p2)
+    actions = union_actions(p1, p2)
     f1 = _lumped_family(_dense(p1, actions), k1)
     f2 = _lumped_family(_dense(p2, actions), k2)
     return _family_distance(f1, f2, norm_kind)
@@ -338,7 +334,7 @@ def epsilon_bisim_exact(
     total = pair_budget(p1.n, p2.n)
     if total > budget:
         raise BudgetExceededError(total, budget)
-    actions = _union_actions(p1, p2)
+    actions = union_actions(p1, p2)
     mats1, mats2 = _dense(p1, actions), _dense(p2, actions)
     mmax = min(p1.n, p2.n)
     hull1, hull2 = lumping_hull(p1, tol, mmax), lumping_hull(p2, tol, mmax)
@@ -390,7 +386,7 @@ def epsilon_bisim_search(
     class on both sides.  Proposals that are not lumpings of their own
     system are rejected; every proposal counts against ``budget``.
     """
-    actions = _union_actions(p1, p2)
+    actions = union_actions(p1, p2)
     mats1, mats2 = _dense(p1, actions), _dense(p2, actions)
     mmin = min(p1.n, p2.n)
     best = None

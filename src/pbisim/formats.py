@@ -262,16 +262,16 @@ def parse_kripke(text: str) -> tuple[KripkeStructure, tuple[str, ...]]:
             edges.add((index[src], index[dst]))
     if names is None:
         raise ParseError("missing states: line", 1)
-    return KripkeStructure(len(names), frozenset(edges), frozenset(marked)), tuple(names)
+    return KripkeStructure(len(names), edges, marked), tuple(names)
 
 
 def print_kripke(k: KripkeStructure, names: tuple[str, ...] | None = None) -> str:
     if names is None:
         names = tuple(f"c{i}" for i in range(k.n))
     out = ["states: " + " ".join(names)]
-    if k.marked:
-        out.append("marked: " + " ".join(names[s] for s in sorted(k.marked)))
-    for a, b in sorted(k.edges):
+    if k.marked.size:
+        out.append("marked: " + " ".join(names[s] for s in k.marked.tolist()))
+    for a, b in k.edges.tolist():
         out.append(f"{names[a]} -> {names[b]}")
     return "\n".join(out) + "\n"
 
@@ -294,7 +294,7 @@ def parse_relation(
         if a not in a_index:
             raise UnknownNameError(a, lineno)
         pairs.add((c_index[c], a_index[a]))
-    return Relation(frozenset(pairs))
+    return Relation(pairs)
 
 
 def parse_galois(text: str) -> tuple[GaloisSpec, tuple[str, ...], tuple[str, ...]]:

@@ -2,7 +2,8 @@
 
 Simulation checking follows the step-matching definition: a relation R
 relates concrete to abstract states, and every concrete step from a
-related state must be answered by some abstract step staying in R.  A
+related state must be answered by some abstract step staying in R.  Edge
+sets and relations are sorted arrays of distinct pairs, from which a
 structure builds its successor and predecessor lists once, as CSR arrays.
 ``is_simulation`` compares the (c', a) that related pairs must answer
 with those answered through abstract predecessors, in O(|R| * degree).  The
@@ -26,7 +27,6 @@ in row-major order, is the first violation in subset-then-element order.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -52,55 +52,57 @@ def _gather(indptr: np.ndarray, nbr: np.ndarray, nodes: np.ndarray):
     return owner, nbr[starts[owner] + offsets]
 
 
-@dataclass(frozen=True)
+def _sorted_rows(values, width: int) -> np.ndarray:
+    """Distinct rows of ``width`` ints as a read-only int64 array, in lexicographic order."""
+    arr = np.asarray(values if isinstance(values, np.ndarray) else [*values], np.int64)
+    arr = arr.reshape(-1, width)
+    arr = arr[np.lexsort(arr.T[::-1])]
+    arr = np.concatenate((arr[:1], arr[1:][(arr[1:] != arr[:-1]).any(axis=1)]))
+    arr.setflags(write=False)
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
 class KripkeStructure:
     """Finite transition graph with a distinguished state set.
 
-    The distinguished set ``marked`` is carried through parsing and
-    reporting but plays no role in simulation checking.
+    ``edges`` are the distinct (source, target) pairs, a read-only (k, 2)
+    int64 array sorted by source, then target; ``marked`` is a sorted
+    read-only int64 array that simulation checking ignores.  Both are built
+    from any iterable; equality compares contents.
     """
 
     n: int
-    edges: frozenset[tuple[int, int]]
-    marked: frozenset[int]
+    edges: np.ndarray
+    marked: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "edges", frozenset((int(a), int(b)) for a, b in self.edges))
-        object.__setattr__(self, "marked", frozenset(int(s) for s in self.marked))
+        object.__setattr__(self, "edges", _sorted_rows(self.edges, 2))
+        object.__setattr__(self, "marked", _sorted_rows(self.marked, 1).ravel())
         if self.n < 1:
             raise ValidationError("state count must be >= 1")
-        for a, b in self.edges:
-            if not (0 <= a < self.n and 0 <= b < self.n):
-                raise ValidationError(f"edge ({a}, {b}) out of range")
-        for s in self.marked:
-            if not 0 <= s < self.n:
-                raise ValidationError(f"marked state {s} out of range")
+        outside = ((self.edges < 0) | (self.edges >= self.n)).any(axis=1)
+        if outside.any():
+            x, y = self.edges[np.argmax(outside)].tolist()
+            raise ValidationError(f"edge ({x}, {y}) out of range")
+        outside = self.marked[(self.marked < 0) | (self.marked >= self.n)]
+        if outside.size:
+            raise ValidationError(f"marked state {outside[0]} out of range")
 
-    @cached_property
-    def _edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(sources, targets) of the edges, sorted by source, then target."""
-        src, dst = np.array(sorted(self.edges), dtype=np.intp).reshape(-1, 2).T
-        return src, dst
+    def __eq__(self, other):
+        return isinstance(other, KripkeStructure) and self.n == other.n and all(
+            map(np.array_equal, (self.edges, self.marked), (other.edges, other.marked)))
 
     @cached_property
     def _succ(self) -> tuple[np.ndarray, np.ndarray]:
         """Successor lists as CSR arrays (indptr, targets ascending per source)."""
-        src, dst = self._edge_arrays
-        return _indptr(src, self.n), dst
+        return _indptr(self.edges[:, 0], self.n), self.edges[:, 1]
 
     @cached_property
     def _pred(self) -> tuple[np.ndarray, np.ndarray]:
         """Predecessor lists as CSR arrays (indptr, sources ascending per target)."""
-        src, dst = self._edge_arrays
+        src, dst = self.edges.T
         return _indptr(dst, self.n), src[np.argsort(dst, kind="stable")]
-
-    def _adjacency(self, states: np.ndarray) -> np.ndarray:
-        """0/1 successor matrix among ``states`` (sorted, distinct), as float32 for BLAS."""
-        src, dst = self._edge_arrays
-        keep = np.isin(src, states) & np.isin(dst, states)
-        mat = np.zeros((len(states), len(states)), dtype=np.float32)
-        mat[np.searchsorted(states, src[keep]), np.searchsorted(states, dst[keep])] = 1
-        return mat
 
     def successors(self, s: int) -> tuple[int, ...]:
         if not 0 <= s < self.n:
@@ -109,18 +111,21 @@ class KripkeStructure:
         return tuple(dst[indptr[s] : indptr[s + 1]].tolist())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Relation:
-    """Binary relation between the states of two structures."""
+    """Relation between two structures' states; ``pairs`` as for ``KripkeStructure.edges``."""
 
-    pairs: frozenset[tuple[int, int]]
+    pairs: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "pairs", frozenset(self.pairs))
+        object.__setattr__(self, "pairs", _sorted_rows(self.pairs, 2))
+
+    def __eq__(self, other):
+        return isinstance(other, Relation) and np.array_equal(self.pairs, other.pairs)
 
 
 def full_relation(c: KripkeStructure, a: KripkeStructure) -> Relation:
-    return Relation(frozenset((i, j) for i in range(c.n) for j in range(a.n)))
+    return Relation(np.argwhere(np.ones((c.n, a.n), dtype=bool)))
 
 
 def is_simulation(
@@ -133,23 +138,20 @@ def is_simulation(
     a satisfies c' R a'.  Raises ValidationError when a pair names a state
     outside its structure.
 
-    With the pairs sorted as keys ``c * a.n + a``, the (c', a) that are
-    answered are those with c' R a' for a successor a' of a: one gather
-    over the abstract predecessors of every related a'.  The (c', a) that
-    must be answered are one gather over the concrete successors of every
-    related c, already in witness order, so the first one missing from
-    the answered keys is the witness.  Work and memory are
-    O(|R| * (outdeg + indeg)) plus the sorts, following the relation
-    rather than the state counts.
+    The pairs arrive sorted by (c, a), the order of keys ``c * a.n + a``.
+    The (c', a) that are answered are those with c' R a' for a successor a'
+    of a: one gather over the abstract predecessors of every related a'.
+    The (c', a) that must be answered are one gather over the concrete
+    successors of every related c, already in witness order, so the first
+    one missing from the answered keys is the witness.  Work and memory are
+    O(|R| * (outdeg + indeg)) plus the sorts, following the relation rather
+    than the state counts.
     """
-    flat = itertools.chain.from_iterable(r.pairs)
-    pairs = np.fromiter(flat, dtype=np.int64, count=2 * len(r.pairs)).reshape(-1, 2)
-    outside = ((pairs < 0) | (pairs >= (c.n, a.n))).any(axis=1)
+    outside = ((r.pairs < 0) | (r.pairs >= (c.n, a.n))).any(axis=1)
     if outside.any():
-        x, y = min(map(tuple, pairs[outside].tolist()))
+        x, y = r.pairs[np.argmax(outside)].tolist()
         raise ValidationError(f"relation pair ({x}, {y}) out of range")
-    keys = np.sort(pairs[:, 0] * a.n + pairs[:, 1])
-    rc, ra = np.divmod(keys, a.n)
+    rc, ra = r.pairs.T
     owner, below = _gather(*a._pred, ra)
     step, c2 = _gather(*c._succ, rc)
     missing = ~np.isin(c2 * a.n + ra[step], rc[owner] * a.n + below)
@@ -193,8 +195,7 @@ def largest_simulation(c: KripkeStructure, a: KripkeStructure) -> Relation:
         owner, x = _gather(c_pred_ptr, c_pred, zc)
         cand = x * width + za[owner]
         removed = np.unique(cand[rel_flat[cand]])
-    rows, cols = np.nonzero(rel)
-    return Relation(frozenset(zip(rows.tolist(), cols.tolist())))
+    return Relation(np.argwhere(rel))
 
 
 def _least_bounds(order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -447,16 +448,14 @@ def check_abstraction_basis(
         e = int(np.argmax(outside))
         raise ValidationError(f"state_of_element[{e}] = {soe[e]} is not an abstract state")
     table = _alpha_table(g, cap)
-    src, dst = c._edge_arrays
     post_of_state = np.zeros(g.concrete_n, dtype=np.int64)
-    np.bitwise_or.at(post_of_state, src, 1 << dst)
+    np.bitwise_or.at(post_of_state, c.edges[:, 0], 1 << c.edges[:, 1])
     post = np.zeros(1, dtype=np.int64)
     for step in post_of_state:
         post = np.concatenate((post, post | step))
 
     leq = g.lattice._leq
-    states, at = np.unique(soe, return_inverse=True)
-    element_edges = a._adjacency(states)[np.ix_(at, at)]
+    element_edges = np.isin(soe[:, None] * a.n + soe, a.edges[:, 0] * a.n + a.edges[:, 1])
     answered = (leq.astype(np.float32) @ element_edges.T) > 0
     unmatched = (post != 0)[:, None] & leq[table] & ~answered[table[post]]
     if unmatched.any():

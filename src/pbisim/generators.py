@@ -116,7 +116,7 @@ def perturb(pts: LabelledPTS, delta: float, seed: int) -> LabelledPTS:
     so that dyadic rows stay exactly stochastic.  ``delta`` = 0 (or a
     single-state system) returns the input unchanged.
     """
-    if delta < 0:
+    if not delta >= 0:
         raise ValidationError("delta must be >= 0")
     rng = random.Random(seed)
     on = pts.enabled_rows()

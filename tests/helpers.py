@@ -132,6 +132,18 @@ def naive_coarsest(pts: LabelledPTS, tol: float = 1e-9) -> Classification:
         blocks = new_blocks
 
 
+def as_set(values: np.ndarray) -> set:
+    """A relation's or a structure's array as a Python set, for the oracles.
+
+    ``Relation.pairs`` and ``KripkeStructure.edges`` give int pairs and
+    ``KripkeStructure.marked`` gives ints.  Tests read the arrays only
+    through here, because the arrays are not containers of pairs:
+    ``(x, y) in pairs`` compares elementwise and is true whenever x is
+    some first element or y some second one.
+    """
+    return set(map(tuple, values.tolist())) if values.ndim == 2 else set(values.tolist())
+
+
 def brute_largest_simulation(c: KripkeStructure, a: KripkeStructure) -> Relation:
     """Union of every relation accepted by is_simulation (exhaustive)."""
     pairs = [(i, j) for i in range(c.n) for j in range(a.n)]
@@ -139,7 +151,7 @@ def brute_largest_simulation(c: KripkeStructure, a: KripkeStructure) -> Relation
     for bits in range(1 << len(pairs)):
         rel = Relation(frozenset(p for k, p in enumerate(pairs) if bits & (1 << k)))
         if is_simulation(c, a, rel)[0]:
-            union |= rel.pairs
+            union |= as_set(rel.pairs)
     return Relation(frozenset(union))
 
 
@@ -559,16 +571,17 @@ def naive_exact_best(p1, p2, norm_kind="op-inf", tol=DEFAULT_TOL):
 
 def naive_successors(k: KripkeStructure, s: int) -> tuple[int, ...]:
     """Successors of ``s`` by a scan of the whole edge set."""
-    return tuple(sorted(b for a, b in k.edges if a == s))
+    return tuple(sorted(b for a, b in as_set(k.edges) if a == s))
 
 
 def naive_is_simulation(
     c: KripkeStructure, a: KripkeStructure, r: Relation
 ) -> tuple[bool, tuple[int, int, int] | None]:
     """Step-matching check pair by pair, in sorted order."""
-    for cs, as_ in sorted(r.pairs):
+    pairs = as_set(r.pairs)
+    for cs, as_ in sorted(pairs):
         for ct in naive_successors(c, cs):
-            if not any((ct, at) in r.pairs for at in naive_successors(a, as_)):
+            if not any((ct, at) in pairs for at in naive_successors(a, as_)):
                 return False, (cs, as_, ct)
     return True, None
 
@@ -735,8 +748,9 @@ def naive_check_abstraction_basis(
         state_of_element = list(range(g.lattice.size))
     table = naive_alpha_join_table(g, cap)
     post_of_state = [0] * g.concrete_n
-    for x, y in c.edges:
+    for x, y in as_set(c.edges):
         post_of_state[x] |= 1 << y
+    a_edges = as_set(a.edges)
 
     for mask in range(1 << g.concrete_n):
         post = 0
@@ -754,7 +768,7 @@ def naive_check_abstraction_basis(
             matched = any(
                 g.lattice.leq(target, elem)
                 for elem in range(g.lattice.size)
-                if (state_of_element[e], state_of_element[elem]) in a.edges
+                if (state_of_element[e], state_of_element[elem]) in a_edges
             )
             if not matched:
                 return False, (mask, e)

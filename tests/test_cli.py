@@ -299,6 +299,24 @@ def test_gen_perturb_round_trip(tmp_path):
     pert = run_cli("gen", "perturb", f, "--delta", "0.01", "--seed", "5")
     assert pert.returncode == 0
     parse_pts(pert.stdout)
+    # an unbounded delta moves each row's whole donor entry
+    assert run_cli("gen", "perturb", f, "--delta", "inf", "--seed", "5").returncode == 0
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["gen", "planted", "--quotient", "{pts}", "--multiplicities", "a,b", "--seed", "1"],
+        ["gen", "perturb", "{pts}", "--delta", "nan", "--seed", "1"],
+        ["gen", "random", "--states", "2", "--actions", "a,a", "--seed", "1"],
+    ],
+)
+def test_gen_rejects_bad_values_with_exit_two(tmp_path, command):
+    pts = write(tmp_path, "q.pts", "states: s0 s1\nactions: a\ns0 a s1 1\ns1 a s0 1\n")
+    res = run_cli(*[arg.format(pts=pts) for arg in command])
+    assert res.returncode == 2
+    assert res.stderr.startswith("error:")
+    assert res.stdout == ""
 
 
 def test_full_pipeline_via_files_and_stdin(tmp_path):

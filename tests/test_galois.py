@@ -17,7 +17,7 @@ from pbisim import (
 from pbisim.errors import NotALatticeError, ValidationError
 from pbisim.galois import alpha_join_table, full_relation
 
-from helpers import brute_largest_simulation, random_kripke
+from helpers import as_set, brute_largest_simulation, random_kripke
 
 
 def powerset_lattice(n: int) -> FiniteLattice:
@@ -77,9 +77,21 @@ def test_relation_pairs_out_of_range_are_rejected(pairs, named):
     assert str(err.value) == f"relation pair {named} out of range"
 
 
+@pytest.mark.parametrize(
+    "edges, marked, message",
+    [({(0, 5), (3, 0), (2, 2)}, (), "edge (0, 5) out of range"),
+     ({(1, 0), (0, -1), (1, 9)}, (), "edge (0, -1) out of range"),
+     ((), {4, -2, 7}, "marked state -2 out of range")],
+)
+def test_structure_names_its_smallest_out_of_range_edge_or_state(edges, marked, message):
+    with pytest.raises(ValidationError) as err:
+        KripkeStructure(2, frozenset(edges), frozenset(marked))
+    assert str(err.value) == message
+
+
 def test_largest_single_state_no_edges():
     one = KripkeStructure(1, frozenset(), frozenset())
-    assert largest_simulation(one, one).pairs == {(0, 0)}
+    assert as_set(largest_simulation(one, one).pairs) == {(0, 0)}
 
 
 def test_largest_with_edgeless_concrete_is_full():
@@ -93,7 +105,7 @@ def test_largest_matches_exhaustive_union_small():
     a = KripkeStructure(2, frozenset({(0, 1), (1, 1)}), frozenset())
     got = largest_simulation(c, a)
     assert got == brute_largest_simulation(c, a)
-    assert {(1, 0), (1, 1), (0, 0), (0, 1)} >= got.pairs
+    assert {(1, 0), (1, 1), (0, 0), (0, 1)} >= as_set(got.pairs)
     assert is_simulation(c, a, got)[0]
 
 
@@ -122,7 +134,7 @@ def test_simulations_closed_under_union():
             if is_simulation(c, a, r)[0]:
                 rels.append(r)
         for r1, r2 in itertools.combinations(rels[:4], 2):
-            union = Relation(r1.pairs | r2.pairs)
+            union = Relation(as_set(r1.pairs) | as_set(r2.pairs))
             assert is_simulation(c, a, union)[0]
             found += 1
 

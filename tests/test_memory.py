@@ -4,13 +4,15 @@ A 50,000-state system held as dense matrices needs 20 GB per action.  The
 commands below run as child processes whose address space is capped at
 1 GiB (importing numpy and pbisim alone maps about 150 MB), so a dense
 allocation anywhere on the bisim, quotient or generator path fails with
-MemoryError.
+MemoryError.  On the simulation side, a largest simulation of millions of
+pairs must stay an array rather than Python tuples.
 """
 
 import json
 import resource
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -124,3 +126,27 @@ def test_relation_check_on_50k_declared_states_runs_in_one_gib(tmp_path):
     res = run_limited("sim-check", str(c), str(c), "--relation", str(rel), "--json")
     assert res.returncode == 0, res.stderr[-2000:]
     assert json.loads(res.stdout)["result"]["simulation"] is True
+
+
+SPARSE_SIMULATION = """
+import random, sys
+sys.path.insert(0, {tests!r})
+from helpers import random_kripke
+from pbisim.galois import is_simulation, largest_simulation
+rng = random.Random(2000)
+c, a = random_kripke(rng, 2000, 3 / 2000), random_kripke(rng, 2000, 3 / 2000)
+rel = largest_simulation(c, a)
+print(len(rel.pairs), is_simulation(c, a, rel))
+"""
+
+
+def test_sparse_2k_state_simulation_runs_in_one_gib():
+    # out-degree about 3: the largest simulation holds 3.7 M pairs, which
+    # fit in 1 GiB as one array but not as Python tuples plus their arrays
+    code = SPARSE_SIMULATION.format(tests=str(Path(__file__).parent))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         preexec_fn=limit_address_space)
+    assert res.returncode == 0, res.stderr[-2000:]
+    count, verdict = res.stdout.split(" ", 1)
+    assert 0 < int(count) < 2000 * 2000
+    assert verdict == "(True, None)\n"

@@ -15,7 +15,7 @@ from pbisim import KripkeStructure, LabelledPTS, cli
 from pbisim.formats import print_kripke, print_pts
 from pbisim.matrices import NORM_KINDS
 
-from helpers import dense, perturbed_pair, planted_pair, random_kripke, random_pair
+from helpers import as_set, dense, perturbed_pair, planted_pair, random_kripke, random_pair
 
 
 def relabelled(k: KripkeStructure, names, rng: random.Random, prefix: str):
@@ -25,8 +25,8 @@ def relabelled(k: KripkeStructure, names, rng: random.Random, prefix: str):
     where = {old: i for i, old in enumerate(order)}
     moved = KripkeStructure(
         k.n,
-        frozenset((where[x], where[y]) for x, y in k.edges),
-        frozenset(where[s] for s in k.marked),
+        frozenset((where[x], where[y]) for x, y in as_set(k.edges)),
+        frozenset(where[s] for s in as_set(k.marked)),
     )
     new_names = tuple(f"{prefix}{names[old]}" for old in order)
     return moved, new_names, {names[old]: new_names[i] for i, old in enumerate(order)}
