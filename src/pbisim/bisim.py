@@ -16,14 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    Classification,
-    DEFAULT_TOL,
-    Edges,
-    LabelledPTS,
-    disjoint_union,
-    edges_from_sorted,
-)
+from .core import Classification, DEFAULT_TOL, LabelledPTS, disjoint_union
 from .errors import NotLumpableError, ValidationError
 from .matrices import class_masses, is_lumpable, sum_by_key
 
@@ -103,12 +96,11 @@ class _Refinement:
         n = pts.n
         self.tol = tol
         self.n_actions = len(pts.actions)
-        row, dst, prob = pts.flat()
-        action, src = np.divmod(row, n)
-        order = np.argsort(dst, kind="stable")
+        action, src = np.divmod(pts.row, n)
+        order = np.argsort(pts.dst, kind="stable")
         self.origin = (src * self.n_actions + action)[order]
-        self.prob = prob[order]
-        self.ptr = np.concatenate(([0], np.cumsum(np.bincount(dst, minlength=n))))
+        self.prob = pts.prob[order]
+        self.ptr = np.concatenate(([0], np.cumsum(np.bincount(pts.dst, minlength=n))))
         # masses at most this far from 0 count as absent
         self.absent = tol / 2 if (self.prob < 0).any() else tol
 
@@ -225,20 +217,16 @@ class _Refinement:
         return True
 
 
-def _lumped(pts: LabelledPTS, assign: np.ndarray, m: int) -> dict[str, Edges]:
-    """Edges of ``K+ M K`` per action: each class's mass into each class,
+def _lumped(pts: LabelledPTS, assign: np.ndarray, m: int) -> LabelledPTS:
+    """``K+ M K`` over ``m`` classes: each class's mass into each class,
     summed over the class's states in ascending order, over its size."""
     sizes = np.bincount(assign, minlength=m)
     key, mass = class_masses(pts, assign, m)
     action, state = np.divmod(key // m, pts.n)
     # one total per (action, source class, target class)
     key, total = sum_by_key((action * m + assign[state]) * m + key % m, mass)
-    action, src, dst = key // (m * m), key // m % m, key % m
-    bounds = np.searchsorted(action, np.arange(len(pts.actions) + 1))
-    return {
-        a: edges_from_sorted(m, src[lo:hi], dst[lo:hi], total[lo:hi] / sizes[src[lo:hi]])
-        for a, lo, hi in zip(pts.actions, bounds[:-1], bounds[1:])
-    }
+    row = key // m
+    return LabelledPTS.from_edges(m, pts.actions, row, key % m, total / sizes[row % m])
 
 
 def quotient(pts: LabelledPTS, c: Classification, tol: float = DEFAULT_TOL) -> LabelledPTS:
@@ -246,7 +234,7 @@ def quotient(pts: LabelledPTS, c: Classification, tol: float = DEFAULT_TOL) -> L
     ok, violation = is_lumpable(pts, c, tol)
     if not ok:
         raise NotLumpableError(violation)
-    return LabelledPTS.from_edges(c.m, pts.actions, _lumped(pts, np.asarray(c.assign), c.m))
+    return _lumped(pts, np.asarray(c.assign), c.m)
 
 
 def are_bisimilar(
@@ -267,5 +255,4 @@ def are_bisimilar(
         return False, None
     k1 = Classification(c.assign[:off], c.m)
     k2 = Classification(c.assign[off:], c.m)
-    q = LabelledPTS.from_edges(c.m, union.actions, _lumped(union, assign, c.m))
-    return True, BisimWitness(c.m, k1, k2, q)
+    return True, BisimWitness(c.m, k1, k2, _lumped(union, assign, c.m))

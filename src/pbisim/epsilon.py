@@ -155,8 +155,7 @@ def lumping_hull(
     no classification into at most ``limit`` classes refines.
     """
     n = pts.n
-    row, _, prob = pts.flat()
-    scale = max(1.0, float(np.bincount(row, weights=np.abs(prob)).max(initial=0.0)))
+    scale = max(1.0, float(np.bincount(pts.row, weights=np.abs(pts.prob)).max(initial=0.0)))
     tau = 2 * n * tol + 8 * (n + 1) ** 2 * EPS * scale
     block = np.unique(pts.enabled_rows().T, axis=0, return_inverse=True)[1].reshape(-1)
     while limit is None or block.max() < limit:
@@ -176,15 +175,13 @@ def lumping_hull(
     return Classification(block.tolist(), int(block.max()) + 1)
 
 
-def _dense(pts: LabelledPTS, actions) -> list[np.ndarray]:
-    """Matrix per action of ``actions``, all zero where ``pts`` lacks the label."""
-    mats = []
-    for a in actions:
-        m = np.zeros((pts.n, pts.n))
-        if a in pts.edges:
-            e = pts.edges[a]
-            m[e.src(), e.dst] = e.prob
-        mats.append(m)
+def _dense(pts: LabelledPTS, actions: tuple[str, ...]) -> np.ndarray:
+    """Matrix per action of ``actions`` as an (actions, n, n) array, all
+    zero where ``pts`` lacks the label."""
+    mats = np.zeros((len(actions), pts.n, pts.n))
+    where = np.array([actions.index(a) for a in pts.actions], dtype=np.int64)
+    action, state = np.divmod(pts.row, pts.n)
+    mats[where[action], state, pts.dst] = pts.prob
     return mats
 
 

@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import Classification, DEFAULT_TOL, LabelledPTS, edges_from_sorted, validate_pts
+from .core import Classification, DEFAULT_TOL, LabelledPTS, validate_pts
 from .errors import ParseError, UnknownNameError
 
 if TYPE_CHECKING:  # the Kripke-side parsers import these when called
@@ -165,14 +165,8 @@ def parse_pts(text: str, tol: float = DEFAULT_TOL) -> tuple[LabelledPTS, tuple[s
     if actions is None:
         raise ParseError("missing actions: line", 1)
 
-    src, act, dst = src[order], act[order], dst[order]
-    prob = np.array(probs, dtype=float)[order]
-    bounds = np.searchsorted(act, np.arange(len(actions) + 1))
-    edges = {
-        a: edges_from_sorted(n, src[lo:hi], dst[lo:hi], prob[lo:hi])
-        for a, lo, hi in zip(actions, bounds[:-1], bounds[1:])
-    }
-    pts = LabelledPTS.from_edges(n, actions, edges)
+    row, dst = np.divmod(key[order], n)
+    pts = LabelledPTS.from_edges(n, actions, row, dst, np.array(probs, dtype=float)[order])
     validate_pts(pts, tol)
     return pts, tuple(names)
 
@@ -185,14 +179,13 @@ def print_pts(pts: LabelledPTS, names: tuple[str, ...] | None = None) -> str:
     if names is None:
         names = tuple(f"s{i}" for i in range(pts.n))
     out = ["states: " + " ".join(names), "actions: " + " ".join(pts.actions)]
-    row, dst, prob = pts.flat()
-    state, action = row % pts.n, row // pts.n
+    action, state = np.divmod(pts.row, pts.n)
     order = np.argsort(state, kind="stable")
     acts = pts.actions
     out += [
         f"{names[s]} {acts[i]} {names[t]} {p!r}"
         for s, i, t, p in zip(
-            state[order].tolist(), action[order].tolist(), dst[order].tolist(), prob[order].tolist()
+            state[order].tolist(), action[order].tolist(), pts.dst[order].tolist(), pts.prob[order].tolist()
         )
     ]
     return "\n".join(out) + "\n"
@@ -233,7 +226,8 @@ def parse_kripke(text: str) -> tuple[KripkeStructure, tuple[str, ...]]:
 
     names: list[str] | None = None
     marked: list[int] = []
-    edges: set[tuple[int, int]] = set()
+    src_of: list[int] = []
+    dst_of: list[int] = []
     index: dict[str, int] = {}
     for lineno, line in _lines(text):
         if line.startswith("states:"):
@@ -259,10 +253,11 @@ def parse_kripke(text: str) -> tuple[KripkeStructure, tuple[str, ...]]:
                 raise UnknownNameError(src, lineno)
             if dst not in index:
                 raise UnknownNameError(dst, lineno)
-            edges.add((index[src], index[dst]))
+            src_of.append(index[src])
+            dst_of.append(index[dst])
     if names is None:
         raise ParseError("missing states: line", 1)
-    return KripkeStructure(len(names), edges, marked), tuple(names)
+    return KripkeStructure(len(names), np.array([src_of, dst_of], dtype=np.int64).T, marked), tuple(names)
 
 
 def print_kripke(k: KripkeStructure, names: tuple[str, ...] | None = None) -> str:
@@ -283,7 +278,8 @@ def parse_relation(
 
     c_index = {s: i for i, s in enumerate(c_names)}
     a_index = {s: i for i, s in enumerate(a_names)}
-    pairs: set[tuple[int, int]] = set()
+    c_of: list[int] = []
+    a_of: list[int] = []
     for lineno, line in _lines(text):
         parts = line.split()
         if len(parts) != 2:
@@ -293,8 +289,9 @@ def parse_relation(
             raise UnknownNameError(c, lineno)
         if a not in a_index:
             raise UnknownNameError(a, lineno)
-        pairs.add((c_index[c], a_index[a]))
-    return Relation(pairs)
+        c_of.append(c_index[c])
+        a_of.append(a_index[a])
+    return Relation(np.array([c_of, a_of], dtype=np.int64).T)
 
 
 def parse_galois(text: str) -> tuple[GaloisSpec, tuple[str, ...], tuple[str, ...]]:

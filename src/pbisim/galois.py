@@ -194,7 +194,9 @@ def largest_simulation(c: KripkeStructure, a: KripkeStructure) -> Relation:
         zc, za = np.divmod(cells[count_flat[cells] == 0], width)
         owner, x = _gather(c_pred_ptr, c_pred, zc)
         cand = x * width + za[owner]
-        removed = np.unique(cand[rel_flat[cand]])
+        # distinct, without np.unique (whose plain form imports numpy.ma)
+        removed = np.sort(cand[rel_flat[cand]])
+        removed = np.concatenate((removed[:1], removed[1:][removed[1:] != removed[:-1]]))
     return Relation(np.argwhere(rel))
 
 

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Classification, Edges, LabelledPTS, edges_from_sorted
+from .core import Classification, LabelledPTS
 from .errors import ValidationError
 
 _DENOM = 1 << 10
@@ -32,11 +32,9 @@ def _dyadic_weights(rng: random.Random, parts: int) -> list[int]:
     return [bounds[i + 1] - bounds[i] for i in range(parts)]
 
 
-def _edges(n: int, src: list[int], dst: list[int], prob: list[float]) -> Edges:
-    """CSR arrays of edge lists already sorted by (source, target)."""
-    return edges_from_sorted(
-        n, np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64), np.array(prob, dtype=float)
-    )
+def _row_starts(pts: LabelledPTS) -> list[int]:
+    """Where each row of ``pts``'s edge table starts, and the table's end."""
+    return np.searchsorted(pts.row, np.arange(len(pts.actions) * pts.n + 1)).tolist()
 
 
 def gen_random_pts(
@@ -53,16 +51,13 @@ def gen_random_pts(
     if not 0.0 < density <= 1.0:
         raise ValidationError("density must be in (0, 1]")
     rng = random.Random(seed)
-    edges = {}
-    for a in actions:
-        src, dst, prob = [], [], []
-        for s in range(n):
-            if rng.random() < density:
-                src += [s] * n
-                dst += range(n)
-                prob += [w / _DENOM for w in _dyadic_weights(rng, n)]
-        edges[a] = _edges(n, src, dst, prob)
-    return LabelledPTS.from_edges(n, actions, edges)
+    row, dst, prob = [], [], []
+    for r in range(len(actions) * n):
+        if rng.random() < density:
+            row += [r] * n
+            dst += range(n)
+            prob += [w / _DENOM for w in _dyadic_weights(rng, n)]
+    return LabelledPTS.from_edges(n, actions, row, dst, prob)
 
 
 def gen_planted(
@@ -89,22 +84,20 @@ def gen_planted(
     n = offsets[-1]
     assign = tuple(j for j in range(quotient.n) for _ in range(multiplicities[j]))
 
-    on = quotient.enabled_rows()
-    edges = {}
-    for i, a in enumerate(quotient.actions):
-        e = quotient.edges[a]
-        indptr, targets, probs = e.indptr.tolist(), e.dst.tolist(), e.prob.tolist()
-        src, dst, prob = [], [], []
+    on = quotient.enabled_rows().reshape(-1).tolist()
+    starts, targets, probs = _row_starts(quotient), quotient.dst.tolist(), quotient.prob.tolist()
+    row, dst, prob = [], [], []
+    for i in range(len(quotient.actions)):
         for u, j in enumerate(assign):
-            if not on[i, j]:
+            r = i * quotient.n + j
+            if not on[r]:
                 continue
-            for t, p in zip(targets[indptr[j] : indptr[j + 1]], probs[indptr[j] : indptr[j + 1]]):
+            for t, p in zip(targets[starts[r] : starts[r + 1]], probs[starts[r] : starts[r + 1]]):
                 for k, w in enumerate(_dyadic_weights(rng, multiplicities[t])):
-                    src.append(u)
+                    row.append(i * n + u)
                     dst.append(offsets[t] + k)
                     prob.append(p * (w / _DENOM))
-        edges[a] = _edges(n, src, dst, prob)
-    lift = LabelledPTS.from_edges(n, quotient.actions, edges)
+    lift = LabelledPTS.from_edges(n, quotient.actions, row, dst, prob)
     return lift, Classification(assign, quotient.n)
 
 
@@ -119,28 +112,24 @@ def perturb(pts: LabelledPTS, delta: float, seed: int) -> LabelledPTS:
     if not delta >= 0:
         raise ValidationError("delta must be >= 0")
     rng = random.Random(seed)
-    on = pts.enabled_rows()
-    edges = {}
-    for i, a in enumerate(pts.actions):
-        e = pts.edges[a]
-        indptr, targets, probs = e.indptr.tolist(), e.dst.tolist(), e.prob.tolist()
-        src, dst, prob = [], [], []
-        for s in range(pts.n):
-            row = dict(zip(targets[indptr[s] : indptr[s + 1]], probs[indptr[s] : indptr[s + 1]]))
-            if on[i, s] and pts.n >= 2:
-                positive = [t for t, p in row.items() if p > 0.0]
-                donor = positive[rng.randrange(len(positive))]
-                recip = rng.randrange(pts.n - 1)
-                if recip >= donor:
-                    recip += 1
-                t_amount = min(delta, row[donor])
-                t_amount = math.floor(t_amount * _PERTURB_GRID) / _PERTURB_GRID
-                if t_amount > 0.0:
-                    row[donor] -= t_amount
-                    row[recip] = row.get(recip, 0.0) + t_amount
-            for t in sorted(row):
-                src.append(s)
-                dst.append(t)
-                prob.append(row[t])
-        edges[a] = _edges(pts.n, src, dst, prob)
-    return LabelledPTS.from_edges(pts.n, pts.actions, edges)
+    on = pts.enabled_rows().reshape(-1).tolist()
+    starts, targets, probs = _row_starts(pts), pts.dst.tolist(), pts.prob.tolist()
+    row, dst, prob = [], [], []
+    for r in range(len(on)):
+        out = dict(zip(targets[starts[r] : starts[r + 1]], probs[starts[r] : starts[r + 1]]))
+        if on[r] and pts.n >= 2:
+            positive = [t for t, p in out.items() if p > 0.0]
+            donor = positive[rng.randrange(len(positive))]
+            recip = rng.randrange(pts.n - 1)
+            if recip >= donor:
+                recip += 1
+            t_amount = min(delta, out[donor])
+            t_amount = math.floor(t_amount * _PERTURB_GRID) / _PERTURB_GRID
+            if t_amount > 0.0:
+                out[donor] -= t_amount
+                out[recip] = out.get(recip, 0.0) + t_amount
+        for t in sorted(out):
+            row.append(r)
+            dst.append(t)
+            prob.append(out[t])
+    return LabelledPTS.from_edges(pts.n, pts.actions, row, dst, prob)

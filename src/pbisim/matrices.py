@@ -151,12 +151,11 @@ def class_masses(
     mass is summed over the state's edges into the class in ascending
     target order.  O(E log E) for E edges; ``dense`` adds O(n m) per action.
     """
-    row, dst, prob = pts.flat()
-    key = row * m + assign[dst]
+    key = pts.row * m + assign[pts.dst]
     if dense:
         size = len(pts.actions) * pts.n * m
-        return None, np.bincount(key, weights=prob, minlength=size).reshape(-1, pts.n, m)
-    return sum_by_key(key, prob)
+        return None, np.bincount(key, weights=pts.prob, minlength=size).reshape(-1, pts.n, m)
+    return sum_by_key(key, pts.prob)
 
 
 def is_lumpable(

@@ -62,12 +62,10 @@ ACTIONS = ["a", "b"]
 def dense(pts: LabelledPTS) -> dict[str, np.ndarray]:
     """Dense n x n matrix per action: ``dense(pts)[a][s, t]`` is the
     probability of moving from ``s`` to ``t`` on ``a``."""
-    out = {}
-    for a, e in pts.edges.items():
-        m = np.zeros((pts.n, pts.n))
-        m[e.src(), e.dst] = e.prob
-        out[a] = m
-    return out
+    mats = np.zeros((len(pts.actions), pts.n, pts.n))
+    action, state = np.divmod(pts.row, pts.n)
+    mats[action, state, pts.dst] = pts.prob
+    return dict(zip(pts.actions, mats))
 
 
 def canonical(assign) -> Classification:
@@ -367,9 +365,9 @@ def naive_disjoint_union(p1: LabelledPTS, p2: LabelledPTS) -> tuple[LabelledPTS,
     trans = {}
     for a in actions:
         m = np.zeros((n, n))
-        if a in p1.edges:
+        if a in p1.actions:
             m[: p1.n, : p1.n] = dense(p1)[a]
-        if a in p2.edges:
+        if a in p2.actions:
             m[p1.n :, p1.n :] = dense(p2)[a]
         trans[a] = m
     return LabelledPTS(n, tuple(actions), trans), p1.n

@@ -137,6 +137,7 @@ def test_each_command_imports_only_the_modules_it_runs(planted_files):
                   if line.startswith("import time:")}
         modules = {m.split(".", 1)[1] for m in loaded if m.startswith("pbisim.")}
         assert modules == COMMON_MODULES | extra, argv[0]
+        assert "numpy.ma" not in loaded, argv[0]
 
 
 def test_the_package_resolves_every_public_name_lazily():

@@ -4,8 +4,10 @@ import pytest
 from pbisim import (
     Classification,
     LabelledPTS,
+    are_bisimilar,
     coarsest_bisimulation,
     disjoint_union,
+    quotient,
     validate_pts,
 )
 from pbisim.errors import (
@@ -14,7 +16,8 @@ from pbisim.errors import (
     NonSurjectiveError,
     RowSumError,
 )
-from pbisim.generators import gen_random_pts
+from pbisim.formats import parse_pts
+from pbisim.generators import gen_planted, gen_random_pts, perturb
 
 from helpers import dense
 
@@ -117,3 +120,31 @@ def test_disjoint_union_validates():
         p2 = gen_random_pts(4, ["b", "c"], 0.6, seed + 100)
         u, _ = disjoint_union(p1, p2)
         validate_pts(u, 1e-9)
+
+
+def test_every_construction_route_yields_one_canonical_table():
+    dense_pts = LabelledPTS(3, ("a", "b"), {"a": [[0, 0.5, 0.5], [0, 0, 0], [1, 0, 0]],
+                                            "b": [[0, 0, 0], [0.25, 0, 0.75], [0, 0, 0]]})
+    random_pts = gen_random_pts(5, ["b", "c", "a"], 0.7, 3)
+    lift, cls = gen_planted(dense_pts, [2, 1, 3], 4)
+    routes = {
+        "dense": dense_pts,
+        "from_edges": LabelledPTS.from_edges(
+            2, ("a", "b"), np.array([0, 0, 1, 3]), np.array([0, 1, 1, 0]), np.array([0.5, 0.0, 1.0, 1.0])),
+        "parse_pts": parse_pts("states: s0 s1\nactions: a b\ns1 b s0 1\ns0 a s1 0\n"
+                               "s1 a s1 1\ns0 a s0 1/1\n")[0],
+        "quotient": quotient(lift, cls),
+        "disjoint_union": disjoint_union(dense_pts, random_pts)[0],
+        "are_bisimilar": are_bisimilar(lift, dense_pts)[1].quotient,
+        "gen_random_pts": random_pts,
+        "gen_planted": lift,
+        "perturb": perturb(random_pts, 0.25, 5),
+    }
+    for route, pts in routes.items():
+        key = pts.row * pts.n + pts.dst
+        assert pts.row.dtype == pts.dst.dtype == np.int64, route
+        assert not any(arr.flags.writeable for arr in (pts.row, pts.dst, pts.prob)), route
+        assert (pts.prob != 0.0).all(), route
+        assert ((pts.row >= 0) & (pts.row < len(pts.actions) * pts.n)).all(), route
+        assert ((pts.dst >= 0) & (pts.dst < pts.n)).all(), route
+        assert (np.diff(key) > 0).all(), route  # sorted by (row, dst), no repeats

@@ -260,6 +260,8 @@ MALFORMED = [
     HEAD + "s0 a s1 inf\n",
     HEAD + "s0 a s1 nan\n",
     HEAD + "s0 a s1 -inf\ns0 b s1 nan\n",
+    HEAD + "s0 a s1 0.5\ns0 b s1 nan\n",
+    HEAD + "s0 a s1 nan\ns0 b s1 0.5\n",
     HEAD + "s0 a s1 0/0\n",
     HEAD + "s0 a s0 1.5\ns0 a s1 -0.5\n",
     HEAD + "s0 a s0 -0.25\ns0 a s1 1.25\ns1 a s1 0.5\n",
