@@ -26,7 +26,7 @@ import traceback
 from . import __version__
 from .bisim import are_bisimilar, coarsest_bisimulation, quotient
 from .core import DEFAULT_TOL
-from .errors import MAX_DIGITS, BudgetExceededError, ParseError, PbisimError
+from .errors import BudgetExceededError, ParseError, PbisimError
 from .formats import (
     parse_classification,
     parse_galois,
@@ -121,7 +121,7 @@ def _cmd_quotient(args):
 
 
 def _cmd_epsilon(args):
-    from .epsilon import epsilon_bisim_exact, epsilon_bisim_search, pair_budget
+    from .epsilon import epsilon_bisim_exact, epsilon_bisim_search, pair_space
 
     (p1, _), in1 = _load(args.system1, parse_pts, args.tol)
     (p2, _), in2 = _load(args.system2, parse_pts, args.tol)
@@ -145,7 +145,6 @@ def _cmd_epsilon(args):
             "tol": args.tol,
         }
     finite = res.epsilon != float("inf")
-    space = pair_budget(p1.n, p2.n)
     result = {
         "epsilon": res.epsilon if finite else None,
         "admissible_pair_found": finite,
@@ -154,7 +153,7 @@ def _cmd_epsilon(args):
         "k2": list(res.k2.assign) if res.k2 else None,
         "method": res.method,
         "optimal": res.optimal,
-        "pair_space": space if space < 10**MAX_DIGITS else None,
+        "pair_space": pair_space(p1.n, p2.n),
     }
     human = [
         f"epsilon: {res.epsilon!r}" if finite else "epsilon: unbounded (no admissible pair)",

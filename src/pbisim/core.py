@@ -200,15 +200,20 @@ def disjoint_union(p1: LabelledPTS, p2: LabelledPTS) -> tuple[LabelledPTS, int]:
     """
     actions = union_actions(p1, p2)
     n = p1.n + p2.n
-    where = np.array([actions.index(a) for a in p2.actions], dtype=np.int64)
-    row = np.concatenate((p1.row // p1.n * n + p1.row % p1.n,
-                          where[p2.row // p2.n] * n + p1.n + p2.row % p2.n))
-    # merge the two sorted runs: each row's edges come from one side,
-    # already sorted by target
-    order = np.argsort(row, kind="stable")
-    dst = np.concatenate((p1.dst, p2.dst + p1.n))[order]
-    prob = np.concatenate((p1.prob, p2.prob))[order]
-    return LabelledPTS.from_edges(n, actions, row[order], dst, prob), p1.n
+    size = p1.row.size + p2.row.size
+    row, dst, prob = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64), np.empty(size)
+    at = 0  # the union's runs in order: per action, p1's edges, then p2's
+    for i, a in enumerate(actions):
+        for p, off in ((p1, 0), (p2, p1.n)):
+            if a in p.actions:
+                j = p.actions.index(a)
+                lo, hi = np.searchsorted(p.row, (j * p.n, j * p.n + p.n)).tolist()
+                to = slice(at, at + hi - lo)
+                np.add(p.row[lo:hi], i * n + off - j * p.n, out=row[to])
+                np.add(p.dst[lo:hi], off, out=dst[to])
+                prob[to] = p.prob[lo:hi]
+                at = to.stop
+    return LabelledPTS.from_edges(n, actions, row, dst, prob), p1.n
 
 
 def union_actions(p1: LabelledPTS, p2: LabelledPTS) -> tuple[str, ...]:

@@ -17,11 +17,13 @@ be evaluated on any classification pair of equal class count.
 The exact minimiser visits only the admissible space: each side enumerates
 the canonical refinements of its lumping hull (``lumping_hull``, a
 partition every lumping refines), keeps the lumpings, and the class
-relabelings of each admitted pair are searched by branch and bound on a
-lower bound of the norm.  A seeded hill-climbing search provides upper
+relabelings of each admitted pair are searched by branch and bound,
+bounding a branch by the ``matrix_norm`` of the top-left block of the
+difference assigned so far.  A seeded hill-climbing search provides upper
 bounds when even the a-priori space is too large.  Both lump through the
-paper's ``K+ M K`` on dense per-action matrices, which each call builds
-once from the edges.
+paper's ``K+ M K`` on the stack of dense per-action matrices, which each
+call builds once from the edges: one ``lump`` and one ``matrix_norm`` call
+per family.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import numpy as np
 
 from .bisim import coarsest_bisimulation
 from .core import Classification, DEFAULT_TOL, LabelledPTS, union_actions
-from .errors import BudgetExceededError, ClassCountMismatchError, InvalidRangeError
+from .errors import MAX_DIGITS, BudgetExceededError, ClassCountMismatchError, InvalidRangeError
 from .matrices import class_masses, classification_matrix, is_lumpable, lump, matrix_norm
 
 DEFAULT_PAIR_BUDGET = 10_000_000
@@ -131,6 +133,30 @@ def pair_budget(n1: int, n2: int) -> int:
     return sum(r1[m] * r2[m] * math.factorial(m) for m in range(1, min(n1, n2) + 1))
 
 
+def pair_space(n1: int, n2: int) -> int | None:
+    """``pair_budget(n1, n2)`` if it has at most ``MAX_DIGITS`` digits, else None.
+
+    Floats decide where they can, with a digit of slack far above their
+    rounding: ``S(n, m) >= m^(n - m)``, then the Stirling recurrence in log
+    space.  The exact Stirling rows are built only when both leave it open.
+    """
+    j = np.arange(1, min(n1, n2) + 1)
+    logj, limit = np.log(j), (MAX_DIGITS + 1) * math.log(10)
+    logfact = np.cumsum(logj)
+    if ((n1 + n2 - 2 * j) * logj + logfact).max(initial=0.0) >= limit:
+        return None
+    rows = []
+    for n in (n1, n2):
+        row = np.where(j == 1, 0.0, -np.inf)  # log S(i, j) from i = 1 to n
+        for _ in range(n - 1):
+            row = np.logaddexp(logj + row, np.concatenate(([-np.inf], row[:-1])))
+        rows.append(row)
+    if np.logaddexp.reduce(rows[0] + rows[1] + logfact, initial=-np.inf) >= limit:
+        return None
+    space = pair_budget(n1, n2)
+    return space if space < 10**MAX_DIGITS else None
+
+
 def lumping_hull(
     pts: LabelledPTS, tol: float = DEFAULT_TOL, limit: int | None = None
 ) -> Classification:
@@ -185,13 +211,12 @@ def _dense(pts: LabelledPTS, actions: tuple[str, ...]) -> np.ndarray:
     return mats
 
 
-def _lumped_family(mats: list[np.ndarray], c: Classification) -> np.ndarray:
-    k = classification_matrix(c)
-    return np.stack([lump(m, k) for m in mats])
+def _lumped_family(mats: np.ndarray, c: Classification) -> np.ndarray:
+    return lump(mats, classification_matrix(c))
 
 
 def _family_distance(f1: np.ndarray, f2: np.ndarray, norm_kind: str) -> float:
-    return max(matrix_norm(f1[i] - f2[i], norm_kind) for i in range(f1.shape[0]))
+    return float(matrix_norm(f1 - f2, norm_kind).max())
 
 
 def _result(best, norm_kind: str, method: str, optimal: bool) -> EpsilonResult:
@@ -234,41 +259,19 @@ def _best_relabeling(f1, f2, a1, a2, norm_kind: str, best):
     """``best`` improved by the class relabelings of the right side.
 
     Branch and bound: new class ``i`` takes old class ``inv[i]`` of ``f2``
-    for ``i = 0, 1, ...``; the norm of the top-left block assigned so far
-    (partial row sums for op-inf, partial maxima for entry-max, partial
-    sums of squares for frobenius) never exceeds the full norm, since the
-    entries of ``|f1 - f2|`` only add to it.  The bound is deflated by a
-    relative margin above the summation rounding of ``m * m`` terms, so it
-    never exceeds the float that ``_family_distance`` returns, and a
-    branch is pruned only when its candidates all lose in the order of
-    ``(epsilon, m, k1, k2)``.  Leaves are scored by ``_family_distance``
-    on the relabelled family, as the full scan did, so epsilon is
-    bit-identical.
+    for ``i = 0, 1, ...``; the bound of a branch is the ``matrix_norm`` of
+    the top-left block of ``f1 - f2`` assigned so far, which never exceeds
+    the full norm, since the entries of ``|f1 - f2|`` only add to it.  The
+    bound is deflated by a relative margin above the summation rounding of
+    ``m * m`` terms, so it never exceeds the float that
+    ``_family_distance`` returns, and a branch is pruned only when its
+    candidates all lose in the order of ``(epsilon, m, k1, k2)``.  Leaves
+    are scored by ``_family_distance`` on the relabelled family, as the
+    full scan did, so epsilon is bit-identical.
     """
     m = f1.shape[1]
-    x, y = f1.tolist(), f2.tolist()
     shrink = 1.0 - (2 * m * m + 8) * EPS
     inv: list[int] = []
-
-    def child(i: int, j: int, acc):
-        """Accumulator and bound after assigning old class j to new class i."""
-        out, bound = [], 0.0
-        for xa, ya, pa in zip(x, y, acc):
-            xi, yj = xa[i], ya[j]
-            row = [abs(xi[c] - yj[inv[c]]) for c in range(i)]
-            row.append(abs(xi[i] - yj[j]))
-            col = [abs(xa[r][i] - ya[inv[r]][j]) for r in range(i)]
-            if norm_kind == "op-inf":
-                pa = [s + d for s, d in zip(pa, col)] + [sum(row)]
-                v = max(pa)
-            elif norm_kind == "entry-max":
-                pa = v = max(pa, max(row), max(col, default=0.0))
-            else:
-                pa = pa + sum(d * d for d in row) + sum(d * d for d in col)
-                v = math.sqrt(pa)
-            out.append(pa)
-            bound = max(bound, v)
-        return bound * shrink, out
 
     def leaf(order: list[int]) -> None:
         nonlocal best
@@ -283,7 +286,7 @@ def _best_relabeling(f1, f2, a1, a2, norm_kind: str, best):
         if best is None or cand < best:
             best = cand
 
-    def visit(i: int, acc) -> None:
+    def visit(i: int) -> None:
         free = [j for j in range(m) if j not in inv]
         if i >= m - 2:
             # each child is a single relabeling: its bound would cost about
@@ -291,19 +294,18 @@ def _best_relabeling(f1, f2, a1, a2, norm_kind: str, best):
             for rest in itertools.permutations(free):
                 leaf(inv + list(rest))
             return
-        kids = []
-        for j in free:
-            bound, sub = child(i, j, acc)
-            kids.append((bound, j, sub))
-        kids.sort()
-        for bound, j, sub in kids:
+        # the assigned blocks of all children at once, (actions, child, i+1, i+1)
+        p = np.array([inv + [j] for j in free])
+        blocks = f1[:, None, : i + 1, : i + 1] - f2[:, p[:, :, None], p[:, None, :]]
+        bounds = matrix_norm(blocks, norm_kind).max(axis=0) * shrink
+        for bound, j in sorted(zip(bounds.tolist(), free)):
             if _beaten(bound, m, a1, best):
                 break  # the rest have larger bounds
             inv.append(j)
-            visit(i + 1, sub)
+            visit(i + 1)
             inv.pop()
 
-    visit(0, [[] if norm_kind == "op-inf" else 0.0] * f1.shape[0])
+    visit(0)
     return best
 
 
@@ -389,31 +391,25 @@ def epsilon_bisim_search(
     best = None
 
     def evaluate(c1: Classification, c2: Classification) -> float | None:
+        """The pair's distance, kept in ``best`` if it wins; None unless admissible."""
+        nonlocal best
         if not is_lumpable(p1, c1, tol)[0] or not is_lumpable(p2, c2, tol)[0]:
             return None
-        return _family_distance(_lumped_family(mats1, c1), _lumped_family(mats2, c2), norm_kind)
-
-    def consider(c1, c2, d):
-        nonlocal best
+        d = _family_distance(_lumped_family(mats1, c1), _lumped_family(mats2, c2), norm_kind)
         cand = (d, c1.m, c1.assign, c2.assign)
-        if best is None or cand < best:
-            best = cand
+        best = cand if best is None else min(best, cand)
+        return d
 
     seeds: list[tuple[Classification, Classification]] = []
     if p1.n == p2.n:
         disc = Classification(tuple(range(p1.n)), p1.n)
-        seeds.append((disc, Classification(tuple(range(p2.n)), p2.n)))
-    c1_coarse = coarsest_bisimulation(p1, tol)
-    c2_coarse = coarsest_bisimulation(p2, tol)
-    if c1_coarse.m == c2_coarse.m:
-        seeds.append((c1_coarse, c2_coarse))
-    seeds.append(
-        (Classification((0,) * p1.n, 1), Classification((0,) * p2.n, 1))
-    )
+        seeds.append((disc, disc))
+    coarse = (coarsest_bisimulation(p1, tol), coarsest_bisimulation(p2, tol))
+    if coarse[0].m == coarse[1].m:
+        seeds.append(coarse)
+    seeds.append((Classification((0,) * p1.n, 1), Classification((0,) * p2.n, 1)))
     for c1, c2 in seeds:
-        d = evaluate(c1, c2)
-        if d is not None:
-            consider(c1, c2, d)
+        evaluate(c1, c2)
 
     restarts = max(1, min(8, budget // 64))
     per_restart = max(1, budget // restarts)
@@ -430,7 +426,6 @@ def epsilon_bisim_search(
             d = evaluate(c1, c2)
             if d is not None:
                 cur = (c1, c2, d)
-                consider(c1, c2, d)
         if cur is None:
             continue
 
@@ -441,10 +436,7 @@ def epsilon_bisim_search(
             if prop is None:
                 continue
             nd = evaluate(*prop)
-            if nd is None:
-                continue
-            consider(prop[0], prop[1], nd)
-            if nd < d:
+            if nd is not None and nd < d:
                 cur = (prop[0], prop[1], nd)
 
     return _result(best, norm_kind, "local-search", False)
@@ -470,9 +462,7 @@ def _propose_move(rng, c1, c2, mmin):
         w = rng.randrange(m - 1)
         if w >= v:
             w += 1
-        assign = list(c.assign)
-        assign[s] = w
-        moved = Classification(tuple(assign), m)
+        moved = Classification(c.assign[:s] + (w,) + c.assign[s + 1:], m)
         return (moved, c2) if kind == "reassign1" else (c1, moved)
 
     if kind == "merge":
@@ -483,14 +473,7 @@ def _propose_move(rng, c1, c2, mmin):
         x, y = min(i, j), max(i, j)
 
         def merged(c):
-            out = []
-            for v in c.assign:
-                if v == y:
-                    v = x
-                elif v > y:
-                    v -= 1
-                out.append(v)
-            return Classification(tuple(out), m - 1)
+            return Classification(tuple(x if v == y else v - (v > y) for v in c.assign), m - 1)
 
         return merged(c1), merged(c2)
 
@@ -510,8 +493,5 @@ def _propose_move(rng, c1, c2, mmin):
             assign[s] = m
         return Classification(tuple(assign), m + 1)
 
-    s1 = split(c1)
-    s2 = split(c2)
-    if s1 is None or s2 is None:
-        return None
-    return s1, s2
+    s1, s2 = split(c1), split(c2)
+    return None if s1 is None or s2 is None else (s1, s2)

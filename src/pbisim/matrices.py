@@ -11,7 +11,6 @@ j (Kemeny-Snell style strong lumping).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,14 +81,16 @@ def penrose_check(k: np.ndarray, p: np.ndarray, tol: float = 1e-12) -> bool:
 def lump(m: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Quotient transform K+ M K for a classification matrix K.
 
-    Evaluated as block sums followed by a single division per class, so
-    that exactly representable inputs stay exact (dividing each addend
-    first would round before the cancellation).
+    ``m`` is one n x n matrix or a stack ``(..., n, n)`` of them, such as
+    one matrix per action; each is lumped as if alone.  Evaluated as block
+    sums followed by a single division per class, so that exactly
+    representable inputs stay exact (dividing each addend first would round
+    before the cancellation).
     """
     m = np.asarray(m, dtype=float)
     k = np.asarray(k, dtype=float)
     _check_classification_matrix(k)
-    if m.shape != (k.shape[0], k.shape[0]):
+    if m.shape[-2:] != (k.shape[0], k.shape[0]):
         raise DimensionMismatchError(
             f"matrix shape {m.shape} does not match {k.shape[0]} states"
         )
@@ -239,18 +240,22 @@ def is_lumpable(
     return False, LumpabilityViolation(a, ld, s, j, f"{x[j]!r} vs {y[j]!r}")
 
 
-def matrix_norm(m: np.ndarray, kind: str = "op-inf") -> float:
+def matrix_norm(m: np.ndarray, kind: str = "op-inf") -> float | np.ndarray:
     """Matrix norm used to compare lumped systems.
 
     op-inf: operator norm induced by the max vector norm, i.e. the largest
     absolute row sum.  entry-max: largest absolute entry.  frobenius:
-    square root of the sum of squared entries.
+    square root of the sum of squared entries.  A matrix gives a float; a
+    stack ``(..., n, m)`` gives the array of its matrices' norms, each
+    equal to the matrix's own when the stack is C-contiguous.
     """
     m = np.asarray(m, dtype=float)
     if kind == "op-inf":
-        return float(np.abs(m).sum(axis=1).max())
-    if kind == "entry-max":
-        return float(np.abs(m).max())
-    if kind == "frobenius":
-        return float(math.sqrt(float((m * m).sum())))
-    raise ValueError(f"unknown norm kind {kind!r}; expected one of {NORM_KINDS}")
+        norm = np.abs(m).sum(axis=-1).max(axis=-1)
+    elif kind == "entry-max":
+        norm = np.abs(m).max(axis=(-2, -1))
+    elif kind == "frobenius":
+        norm = np.sqrt((m * m).sum(axis=(-2, -1)))
+    else:
+        raise ValueError(f"unknown norm kind {kind!r}; expected one of {NORM_KINDS}")
+    return float(norm) if m.ndim == 2 else norm

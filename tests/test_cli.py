@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 
@@ -434,3 +435,71 @@ def test_coarsest_quotient_is_idempotent(tmp_path, seed):
     assert twice["quotient_pts"] == once["quotient_pts"]
     assert twice["classes"] == once["classes"]
     assert twice["classification"] == {f"c{j}": j for j in range(once["classes"])}
+
+
+ODD_TOKENS = ["nan", "inf", "-inf", "1/0", "\0", "9" * 400, "-" + "9" * 30, "é", "∞", "\udcff"]
+
+
+def _mutate(rng, text):
+    """``text`` after one to three random line deletions, duplications or
+    swaps, token swaps (a token takes another line's token of the same
+    column), or odd tokens put in place of a token."""
+    lines = text.splitlines()
+    for _ in range(rng.randint(1, 3)):
+        if not lines:
+            break
+        kind, i, k = rng.randrange(5), rng.randrange(len(lines)), rng.randrange(len(lines))
+        words = lines[i].split()
+        if kind == 0:
+            del lines[i]
+        elif kind == 1:
+            lines.insert(i, lines[i])
+        elif kind == 2:
+            lines[i], lines[k] = lines[k], lines[i]
+        elif words:
+            j = rng.randrange(len(words))
+            other = lines[k].split()
+            words[j] = other[j] if kind == 3 and j < len(other) else rng.choice(ODD_TOKENS)
+            lines[i] = " ".join(words)
+    return "\n".join(lines) + "\n"
+
+
+def test_mutated_inputs_never_crash_any_command(tmp_path, capsys):
+    q = gen_random_pts(2, ["a", "b"], 0.9, 17)
+    lift, cls = gen_planted(q, [2, 2], 18)
+    texts = {
+        "q.pts": print_pts(q),
+        "lift.pts": print_pts(lift),
+        "lift.cls": print_classification(cls),
+        "c.kripke": "states: c0 c1\nc0 -> c1\nc1 -> c1\n",
+        "a.kripke": "states: bot top\ntop -> top\n",
+        "r.rel": "c0 top\nc1 top\n",
+        "g.galois": "abstract: bot top\nleq: bot <= top\nalpha: c0 top\nalpha: c1 top\n",
+    }
+    commands = [
+        ["bisim", "lift.pts", "q.pts"],
+        ["quotient", "lift.pts", "--coarsest"],
+        ["quotient", "lift.pts", "--partition", "lift.cls"],
+        ["epsilon", "lift.pts", "q.pts"],
+        ["epsilon", "lift.pts", "q.pts", "--budget", "20", "--norm", "frobenius"],
+        ["sim-check", "c.kripke", "a.kripke", "--largest"],
+        ["sim-check", "c.kripke", "a.kripke", "--relation", "r.rel"],
+        ["galois-check", "g.galois", "--against", "c.kripke", "a.kripke"],
+        ["gen", "perturb", "lift.pts", "--delta", "0.05", "--seed", "1"],
+        ["gen", "planted", "--quotient", "q.pts", "--multiplicities", "2,1", "--seed", "1"],
+    ]
+    rng = random.Random(2013)
+    codes = set()
+    for _ in range(300):
+        argv = list(rng.choice(commands))
+        files = [a for a in argv if a in texts]
+        target = rng.choice(files)
+        for name in files:
+            text = _mutate(rng, texts[name]) if name == target else texts[name]
+            (tmp_path / name).write_bytes(text.encode("utf-8", "surrogateescape"))
+        argv = [str(tmp_path / a) if a in texts else a for a in argv] + ["--json"] * rng.randrange(2)
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3), (argv, (tmp_path / target).read_bytes(), err)
+        codes.add(code)
+    assert {0, 1, 2} <= codes

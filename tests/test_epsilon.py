@@ -17,7 +17,8 @@ from pbisim import (
     stirling2,
 )
 from pbisim.core import DEFAULT_TOL
-from pbisim.epsilon import lumping_hull, pair_budget
+from pbisim import epsilon
+from pbisim.epsilon import lumping_hull, pair_budget, pair_space
 from pbisim.errors import (
     BudgetExceededError,
     ClassCountMismatchError,
@@ -94,6 +95,21 @@ def test_stirling_rows_match_the_recurrence():
     # no recursion: a 600-state budget is a number, not a RecursionError
     assert pair_budget(600, 600) > 10**1000
     assert stirling2(600, 599) == math.comb(600, 2)
+
+
+def test_pair_space_decides_large_counts_without_stirling_rows(monkeypatch):
+    for n1 in range(1, 16):
+        for n2 in range(1, 16):
+            assert pair_space(n1, n2) == pair_budget(n1, n2)
+    assert len(str(pair_space(900, 900))) == 3832  # exact below 4,300 digits
+    assert pair_space(994, 994) is None  # 4,304 digits
+
+    def refuse(n):
+        raise AssertionError(f"built the Stirling row of {n}")
+
+    monkeypatch.setattr(epsilon, "_stirling_row", refuse)
+    assert pair_space(1000, 1000) is None  # 4,334 digits
+    assert pair_space(3, 20_000) is None
 
 
 def test_enumerate_invalid_range():
@@ -271,6 +287,20 @@ def test_exact_norm_kinds_ordered_sensibly():
     ent = epsilon_bisim_exact(p1, p2, norm_kind="entry-max").epsilon
     opi = epsilon_bisim_exact(p1, p2, norm_kind="op-inf").epsilon
     assert 0 < ent <= opi + 1e-15  # entry-max never exceeds the row-sum norm
+
+
+@pytest.mark.parametrize(
+    "kind, eps, m", [("op-inf", 1.0, 1), ("entry-max", 0.2, 5), ("frobenius", 1.0, 1)]
+)
+def test_exact_ties_between_every_lumping_go_to_fewer_classes(kind, eps, m):
+    # five identical states: every classification is a lumping and every
+    # relabeling of a pair scores the same, so bounds never beat the best
+    u = np.full((5, 5), 1 / 5)
+    p1 = LabelledPTS(5, ["a", "b"], {"a": u, "b": u})
+    p2 = LabelledPTS(5, ["a"], {"a": u})
+    res = epsilon_bisim_exact(p1, p2, norm_kind=kind)
+    assert (res.epsilon, res.m) == (eps, m)
+    assert res.k1.assign == res.k2.assign == ((0,) * 5 if m == 1 else tuple(range(5)))
 
 
 def test_search_self_is_zero():

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -204,3 +205,52 @@ def test_lump_preserves_stochastic_rows():
         c = random_classification(rng, 6, rng.randrange(1, 4))
         q = lump(dense(pts)["a"], classification_matrix(c))
         assert np.allclose(q.sum(axis=1), 1.0, atol=6e-9)
+
+
+
+def test_stacked_lump_equals_each_matrix_lumped_alone():
+    rng, pick = np.random.default_rng(11), random.Random(11)
+    for _ in range(300):
+        n = pick.randrange(1, 12)
+        k = classification_matrix(random_classification(pick, n, pick.randrange(1, n + 1)))
+        mats = rng.uniform(0, 1, size=(pick.randrange(1, 4), n, n)) / 7
+        got = lump(mats, k)
+        assert got.shape == (mats.shape[0], k.shape[1], k.shape[1])
+        for stacked, mat in zip(got, mats):
+            assert np.array_equal(stacked, lump(mat, k))
+        assert np.array_equal(lump(mats[None], k)[0], got)
+    with pytest.raises(DimensionMismatchError):
+        lump(np.zeros((2, 3, 3)), np.eye(2))
+
+
+# Each norm as the sum or maximum over a whole matrix, the order the
+# reports' epsilons were computed in.
+NORM_DEFINITIONS = {
+    "op-inf": lambda x: float(np.abs(x).sum(axis=1).max()),
+    "entry-max": lambda x: float(np.abs(x).max()),
+    "frobenius": lambda x: math.sqrt(float((x * x).sum())),
+}
+
+
+@pytest.mark.parametrize("kind", ["op-inf", "entry-max", "frobenius"])
+def test_stacked_matrix_norm_equals_each_matrix_norm(kind):
+    rng, pick = np.random.default_rng(5), random.Random(5)
+    for _ in range(300):
+        n = pick.randrange(2, 9)
+        k = classification_matrix(random_classification(pick, n, pick.randrange(1, n + 1)))
+        mats = rng.uniform(-1, 1, size=(pick.randrange(1, 4), n, n)) / 3
+        # two lumped families, the second relabelled, as epsilon scores them
+        f1, f2, p = lump(mats, k), lump(mats[:, ::-1, ::-1], k), rng.permutation(k.shape[1])
+        for stack in (f1 - f2[:, p[:, None], p], rng.uniform(-1, 1, size=(3, 4, 5)) / 3):
+            assert stack.flags.c_contiguous
+            norms = matrix_norm(stack, kind)
+            assert isinstance(norms, np.ndarray) and norms.shape == stack.shape[:1]
+            assert norms.tolist() == [matrix_norm(x, kind) for x in stack]
+            assert norms.tolist() == [NORM_DEFINITIONS[kind](x) for x in stack]
+        deep = rng.uniform(-1, 1, size=(2, 3, 4, 4)) / 3
+        assert matrix_norm(deep, kind).tolist() == [[matrix_norm(x, kind) for x in row] for row in deep]
+
+
+@pytest.mark.parametrize("kind", ["op-inf", "entry-max", "frobenius"])
+def test_matrix_norm_of_one_matrix_is_a_python_float(kind):
+    assert type(matrix_norm(np.array([[0.1, -0.7], [0.3, 0.2]]), kind)) is float
