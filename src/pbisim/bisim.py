@@ -77,29 +77,26 @@ def coarsest_bisimulation(pts: LabelledPTS, tol: float = DEFAULT_TOL) -> Classif
         if not ref.split_by(list(range(len(ref.members)))):
             break
     # number the blocks in order of their first state
-    _, first, block = np.unique(ref.block_of, return_index=True, return_inverse=True)
-    rank = np.empty(first.size, dtype=np.intp)
-    rank[np.argsort(first)] = np.arange(first.size)
-    return Classification(tuple(rank[block].tolist()), first.size)
+    number: dict[int, int] = {}
+    assign = tuple(number.setdefault(b, len(number)) for b in ref.block_of.tolist())
+    return Classification(assign, len(number))
 
 
 class _Refinement:
     """Refinable partition of a system's states, with a splitter queue.
 
     ``members[b]`` holds block ``b``'s states; ``block_of`` and ``size``
-    hold the same facts as arrays.  The edges of all actions are kept as
-    arrays sorted by target state, ``ptr`` delimiting each state's incoming
-    edges; an edge's ``origin`` is ``source * len(actions) + action``.
+    hold the same facts as arrays.  The system's edge table (``row =
+    action * n + source``, and ``prob``) is kept sorted by target state,
+    ``ptr`` delimiting each state's incoming edges.
     """
 
     def __init__(self, pts: LabelledPTS, tol: float):
         n = pts.n
-        self.tol = tol
+        self.n, self.tol = n, tol
         self.n_actions = len(pts.actions)
-        action, src = np.divmod(pts.row, n)
         order = np.argsort(pts.dst, kind="stable")
-        self.origin = (src * self.n_actions + action)[order]
-        self.prob = pts.prob[order]
+        self.row, self.prob = pts.row[order], pts.prob[order]
         self.ptr = np.concatenate(([0], np.cumsum(np.bincount(pts.dst, minlength=n))))
         # masses at most this far from 0 count as absent
         self.absent = tol / 2 if (self.prob < 0).any() else tol
@@ -133,49 +130,30 @@ class _Refinement:
         ends = np.cumsum(lens)
         if ends[-1] == 0:
             return False
-        # the incoming edges of all splitter states, and their column keys
-        # (source * actions + action) * k + splitter
+        # the incoming edges of all splitter states, each predecessor's mass
+        # per (row, splitter) key, and its (block, action, splitter) segment
         e = np.arange(ends[-1]) + np.repeat(starts - ends + lens, lens)
-        key = self.origin[e] * k + np.repeat(np.repeat(np.arange(k), counts), lens)
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        heads = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-        mass = np.add.reduceat(self.prob[e[order]], heads)
-        key = key[heads]
-
-        ncols = self.n_actions * k
-        src = key // ncols
+        splitter = np.repeat(np.repeat(np.arange(k), counts), lens)
+        key, mass = sum_by_key(self.row[e] * k + splitter, self.prob[e])
+        row = key // k
+        src = row % self.n
         blk = self.block_of[src]
         present = (np.abs(mass) > self.absent) & (self.size[blk] > 1)
         if not present.any():
             return False
         src, mass = src[present], mass[present]
-        seg = blk[present] * ncols + key[present] % ncols
+        seg = (blk[present] * self.n_actions + row[present] // self.n) * k + key[present] % k
         order = np.lexsort((mass, seg))
-        src, seg, mass = src[order], seg[order], mass[order]
 
-        # Leader-first grouping per (block, column) segment.  A gap wider
-        # than tol always starts a group; only a run of close masses that
-        # spans more than tol needs the sequential rule.
-        brk = np.concatenate(([True], (seg[1:] != seg[:-1]) | (np.diff(mass) > tol)))
-        heads = np.flatnonzero(brk)
-        tails = np.concatenate((heads[1:], [src.size])) - 1
-        wide = np.flatnonzero(mass[tails] - mass[heads] > tol)
-        group = np.cumsum(brk).tolist()
-        next_group = len(heads) + 1
-        for r in wide.tolist():
-            lead, g = mass[heads[r]], group[heads[r]]
-            for i in range(heads[r] + 1, tails[r] + 1):
-                if mass[i] - lead > tol:
-                    lead, g = mass[i], next_group
-                    next_group += 1
-                group[i] = g
-
-        # A reached state's signature is its list of groups in column
-        # order.  Group numbers are unique per segment, so states with equal
-        # signatures are in the same block.
+        # Within a segment sorted by mass, a group starts at a leader and
+        # holds the masses at most tol above it.  A reached state's
+        # signature is its list of groups in segment order; group numbers
+        # are unique, so states with equal signatures are in the same block.
         sig: dict[int, list[int]] = {}
-        for s, g in zip(src.tolist(), group):
+        g, last, lead = -1, -1, 0.0
+        for s, sg, x in zip(src[order].tolist(), seg[order].tolist(), mass[order].tolist()):
+            if sg != last or x - lead > tol:
+                g, last, lead = g + 1, sg, x
             sig.setdefault(s, []).append(g)
         pieces: dict[tuple[int, ...], list[int]] = {}
         for s, gs in sig.items():

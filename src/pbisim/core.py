@@ -125,19 +125,19 @@ class Classification:
     m: int
 
     def __post_init__(self):
-        object.__setattr__(self, "assign", tuple(int(v) for v in self.assign))
+        assign = tuple(map(int, self.assign))
+        object.__setattr__(self, "assign", assign)
         if self.m < 1:
             raise ValidationError(f"class count must be >= 1, got {self.m}")
-        if not self.assign:
+        if not assign:
             raise ValidationError("empty assignment")
-        hit = [False] * self.m
-        for s, v in enumerate(self.assign):
-            if not 0 <= v < self.m:
-                raise ValidationError(f"state {s} assigned to class {v} outside 0..{self.m - 1}")
-            hit[v] = True
-        for j, h in enumerate(hit):
-            if not h:
-                raise NonSurjectiveError(j)
+        used = set(assign)
+        if min(used) < 0 or max(used) >= self.m:
+            s, v = next((s, v) for s, v in enumerate(assign) if not 0 <= v < self.m)
+            raise ValidationError(f"state {s} assigned to class {v} outside 0..{self.m - 1}")
+        if len(used) < self.m:
+            # some class below len(used) + 1 is empty, whatever m is
+            raise NonSurjectiveError(min(set(range(len(used) + 1)) - used))
 
     @property
     def n(self) -> int:

@@ -69,17 +69,17 @@ class EpsilonResult:
 
 
 @lru_cache(maxsize=8)
-def _stirling_row(n: int) -> tuple[int, ...]:
-    """``S(n, 0..n)``, built row by row from ``S(0, .)`` without recursion."""
+def _stirling_row(n: int, k: int) -> tuple[int, ...]:
+    """``S(n, 0..k)``, ``k <= n``, built row by row without recursion."""
     row = [1]
     for i in range(1, n + 1):
-        row = [0] + [j * row[j] + row[j - 1] for j in range(1, i)] + [1]
+        row = [0] + [j * row[j] + row[j - 1] for j in range(1, min(i, k + 1))] + [1] * (i <= k)
     return tuple(row)
 
 
 def stirling2(n: int, m: int) -> int:
     """Number of partitions of an n-set into m non-empty blocks."""
-    return _stirling_row(n)[m] if 0 <= m <= n else 0
+    return _stirling_row(n, m)[m] if 0 <= m <= n else 0
 
 
 def enumerate_classifications(
@@ -129,8 +129,9 @@ def enumerate_classifications(
 
 def pair_budget(n1: int, n2: int) -> int:
     """A-priori size of the exhaustive search space over both systems."""
-    r1, r2 = _stirling_row(n1), _stirling_row(n2)
-    return sum(r1[m] * r2[m] * math.factorial(m) for m in range(1, min(n1, n2) + 1))
+    k = min(n1, n2)
+    r1, r2 = _stirling_row(n1, k), _stirling_row(n2, k)
+    return sum(r1[m] * r2[m] * math.factorial(m) for m in range(1, k + 1))
 
 
 def pair_space(n1: int, n2: int) -> int | None:

@@ -60,6 +60,14 @@ def test_quotient_with_partition_file(planted_files):
     assert q.n == expected.n
 
 
+def test_partition_with_a_huge_class_index_exits_two(tmp_path):
+    pts = write(tmp_path, "t.pts", "states: s0 s1\nactions: a\ns0 a s1 1.0\ns1 a s0 1.0\n")
+    cls = write(tmp_path, "t.cls", "s0 0\ns1 100000000000000000000\n")
+    res = run_cli("quotient", pts, "--partition", cls)
+    assert res.returncode == 2, res.stderr
+    assert "error: class 1 has no states" in res.stderr
+
+
 def test_quotient_coarsest_then_bisim_pipeline(planted_files):
     res = run_cli("quotient", planted_files["lift"], "--coarsest")
     assert res.returncode == 0

@@ -97,6 +97,16 @@ def test_stirling_rows_match_the_recurrence():
     assert stirling2(600, 599) == math.comb(600, 2)
 
 
+def test_pair_budget_builds_only_the_smaller_sides_columns():
+    n = 5000
+    s2, s3 = 2 ** (n - 1) - 1, (3**n - 3 * 2**n + 3) // 6
+    t0 = time.perf_counter()
+    budget = pair_budget(n, 3)
+    assert time.perf_counter() - t0 < 0.5
+    # S(3, m) is 1, 3, 1, and each pair of m-class classifications has m! matchings
+    assert budget == 1 + s2 * 3 * 2 + s3 * 6
+
+
 def test_pair_space_decides_large_counts_without_stirling_rows(monkeypatch):
     for n1 in range(1, 16):
         for n2 in range(1, 16):

@@ -128,6 +128,17 @@ def test_relation_check_on_50k_declared_states_runs_in_one_gib(tmp_path):
     assert json.loads(res.stdout)["result"]["simulation"] is True
 
 
+def test_partition_checks_run_in_one_gib_for_any_class_index(tmp_path):
+    # a flag per class of a 300,000,001-class partition needs 2.4 GB
+    pts = tmp_path / "t.pts"
+    pts.write_text("states: s0 s1\nactions: a\ns0 a s1 1.0\ns1 a s0 1.0\n")
+    cls = tmp_path / "t.cls"
+    cls.write_text("s0 0\ns1 300000000\n")
+    res = run_limited("quotient", str(pts), "--partition", str(cls))
+    assert res.returncode == 2, res.stderr[-2000:]
+    assert "error: class 1 has no states" in res.stderr
+
+
 SPARSE_SIMULATION = """
 import random, sys
 sys.path.insert(0, {tests!r})

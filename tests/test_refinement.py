@@ -18,9 +18,10 @@ from pbisim import (
     coarsest_bisimulation,
     is_lumpable,
 )
+from pbisim.core import DEFAULT_TOL
 from pbisim.generators import gen_planted, gen_random_pts
 
-from helpers import ACTIONS, brute_coarsest, canonical, dense, naive_coarsest
+from helpers import ACTIONS, brute_coarsest, canonical, dense, naive_coarsest, tolerance_chain
 
 
 def chain(n: int) -> LabelledPTS:
@@ -142,6 +143,37 @@ def test_fraction_corpus_is_lumpable_and_no_finer_than_naive():
             assert part == brute_coarsest(pts)
         other, perm = permuted(pts, rng)
         assert coarsest_bisimulation(other) == renamed(part, perm)
+
+
+def test_tolerance_groups_are_led_by_their_smallest_mass():
+    # masses 0.6 tol apart: a group holds those at most tol above its
+    # leader, where linking each mass to its neighbour would chain them all
+    t = DEFAULT_TOL
+    run = [0.5, 0.5 + 0.6 * t, 0.5 + 1.2 * t, 0.5 + 1.8 * t]
+    assert coarsest_bisimulation(tolerance_chain(run)).assign == (0, 0, 1, 1, 2, 3)
+    # a gap wider than tol starts a group of its own
+    run += [0.5 + 4 * t, 0.5 + 4.5 * t]
+    assert coarsest_bisimulation(tolerance_chain(run)).assign == (0, 0, 1, 1, 2, 2, 3, 4)
+
+
+def test_masses_into_a_block_add_up_as_the_lumpability_check_adds_them():
+    # s0 and s1 spread their mass over the eight T states, which loop on b;
+    # added one edge at a time, as is_lumpable adds them, their totals
+    # differ by just over tol, and by just under it in np.add.reduce's order
+    # (the first value plus the pairwise sum of the rest)
+    head = [0.08408882463731857, 0.10198001464157114, 0.11476524503003381,
+            0.07369840609231615, 0.09786219745700336, 0.013989619684122444,
+            0.09441603915393432]
+    a, b, c = np.zeros((3, 11, 11))
+    a[0, 2:10] = head + [0.06624583175920512]
+    a[1, 2:10] = head + [0.0662458327592051]
+    a[0, 10] = 1.0 - a[0].sum()
+    a[1, 10] = a[0, 10] - 5e-10  # so that both rows sum to 1 within tol
+    b[range(2, 10), range(2, 10)] = c[10, 10] = 1.0
+    pts = LabelledPTS(11, ("a", "b", "c"), {"a": a, "b": b, "c": c})
+    part = coarsest_bisimulation(pts)
+    assert part.assign == (0, 1) + (2,) * 8 + (3,)
+    assert is_lumpable(pts, part)[0]
 
 
 def test_coarsest_classification_is_a_restricted_growth_string():
