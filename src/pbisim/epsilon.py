@@ -19,25 +19,31 @@ the canonical refinements of its lumping hull (``lumping_hull``, a
 partition every lumping refines), keeps the lumpings, and the class
 relabelings of each admitted pair are searched by branch and bound,
 bounding a branch by the ``matrix_norm`` of the top-left block of the
-difference assigned so far.  A seeded hill-climbing search provides upper
-bounds when even the a-priori space is too large.  Both lump through the
-paper's ``K+ M K`` on the stack of dense per-action matrices, which each
-call builds once from the edges: one ``lump`` and one ``matrix_norm`` call
-per family.
+difference assigned so far.  It lumps through the paper's ``K+ M K`` on
+the stack of dense per-action matrices, built once per call from the edge
+tables: one ``lump`` and one ``matrix_norm`` call per family.
+``epsilon_distance``, the reference for both minimisers, lumps the same
+way.
+
+The seeded hill-climbing search (``epsilon_bisim_search``, run by
+``pbisim.search``) gives upper bounds when even the a-priori space is too
+large.  It never builds a dense matrix: it moves states between classes
+on each system's edge table, checks a move's lumpability on the masses
+the move changed, and scores a pair from the sparse ``K+ M K`` of
+``bisim._lumped`` with ``matrices.table_norm``, in O(n + E) memory per
+side.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
 
-from .bisim import coarsest_bisimulation
 from .core import Classification, DEFAULT_TOL, LabelledPTS, union_actions
 from .errors import MAX_DIGITS, BudgetExceededError, ClassCountMismatchError, InvalidRangeError
 from .matrices import class_masses, classification_matrix, is_lumpable, lump, matrix_norm
@@ -358,16 +364,6 @@ def epsilon_bisim_exact(
     return _result(best, norm_kind, "exhaustive", True)
 
 
-def _random_surjection(rng: random.Random, n: int, m: int) -> tuple[int, ...]:
-    for _ in range(64):
-        assign = tuple(rng.randrange(m) for _ in range(n))
-        if len(set(assign)) == m:
-            return assign
-    forced = list(range(m)) + [rng.randrange(m) for _ in range(n - m)]
-    rng.shuffle(forced)
-    return tuple(forced)
-
-
 def epsilon_bisim_search(
     p1: LabelledPTS,
     p2: LabelledPTS,
@@ -378,121 +374,44 @@ def epsilon_bisim_search(
 ) -> EpsilonResult:
     """Seeded hill-climbing upper bound on the exact epsilon.
 
-    Deterministic for a fixed seed and budget.  The climb starts from a few
-    canonical pairs (discrete classifications when the systems have equal
-    size, and the coarsest bisimulation classifications when their class
-    counts agree) plus random restarts over the shared class count; moves
-    reassign one state, merge a class pair on both sides, or split one
-    class on both sides.  Proposals that are not lumpings of their own
-    system are rejected; every proposal counts against ``budget``.
+    Deterministic for a fixed seed and budget.  The search starts from
+    the lumpings it knows of each system: the discrete one, the coarsest
+    bisimulation and, when it is a lumping, the single class.  Every pair
+    of these with equal class counts is a seed pair, scored first and not
+    counted against ``budget``.  When no pair has equal counts, every pair
+    is a seed, and a restart from one first merges classes on the side
+    with more or splits classes on the other until the counts agree; the
+    result is unbounded if they never do.
+
+    Restarts: the budget is split over up to eight restarts.  Restart
+    ``r`` starts from seed pair ``r`` (cycling) and climbs, keeping a move
+    only when it lowers the distance; from the second visit of a seed on,
+    a restart first spends a quarter of its moves on a random walk that
+    keeps every move leaving both sides lumpings, and climbs from there.  Moves: reassign one state of one side, merge a class
+    pair on both sides, or split one class on both sides; the walk also
+    swaps two class labels of one side, which changes how the classes
+    pair up.  A swap always passes the lumpability check, so the climb
+    leaves it out rather than score one pair per swap.  Every move
+    proposed counts against ``budget``.  Once the current pair is at
+    distance 0, a move is scored only if its pair could still beat the
+    best, and the search ends once the best is epsilon 0 at one class,
+    which nothing beats.
+
+    Cost per move: each side keeps its assignment, classes and the
+    per-(action, state, class) masses it has read (``search._Side``).  A move is
+    applied in place and checked on what it changed: the rows with an
+    edge into a moved state, each summed again over its out-edges, and
+    the members of a class whose smallest state changed.  The check stops
+    at the first violation and admits exactly what ``is_lumpable``
+    admits; a rejected move is undone from a log.  Only a pair that
+    passes is scored, from the sparse ``K+ M K`` of ``bisim._lumped`` and
+    the norms of ``matrices.table_norm``, in O(E log E) time.  Memory:
+    O(n + E) per side, whatever the class count; no n x n or m x m matrix
+    is built.  The epsilon reported may differ by a few ulps from
+    ``epsilon_distance`` on the witnesses, which lumps dense matrices.
     """
-    actions = union_actions(p1, p2)
-    mats1, mats2 = _dense(p1, actions), _dense(p2, actions)
-    mmin = min(p1.n, p2.n)
-    best = None
+    # the search's machinery is compiled only when a search runs, so the
+    # exact scan's command does not load it
+    from .search import search
 
-    def evaluate(c1: Classification, c2: Classification) -> float | None:
-        """The pair's distance, kept in ``best`` if it wins; None unless admissible."""
-        nonlocal best
-        if not is_lumpable(p1, c1, tol)[0] or not is_lumpable(p2, c2, tol)[0]:
-            return None
-        d = _family_distance(_lumped_family(mats1, c1), _lumped_family(mats2, c2), norm_kind)
-        cand = (d, c1.m, c1.assign, c2.assign)
-        best = cand if best is None else min(best, cand)
-        return d
-
-    seeds: list[tuple[Classification, Classification]] = []
-    if p1.n == p2.n:
-        disc = Classification(tuple(range(p1.n)), p1.n)
-        seeds.append((disc, disc))
-    coarse = (coarsest_bisimulation(p1, tol), coarsest_bisimulation(p2, tol))
-    if coarse[0].m == coarse[1].m:
-        seeds.append(coarse)
-    seeds.append((Classification((0,) * p1.n, 1), Classification((0,) * p2.n, 1)))
-    for c1, c2 in seeds:
-        evaluate(c1, c2)
-
-    restarts = max(1, min(8, budget // 64))
-    per_restart = max(1, budget // restarts)
-    for r in range(restarts):
-        rng = random.Random(seed * 1_000_003 + r)
-        left = per_restart
-
-        cur = None
-        while left > 0 and cur is None:
-            m = rng.randint(1, mmin)
-            c1 = Classification(_random_surjection(rng, p1.n, m), m)
-            c2 = Classification(_random_surjection(rng, p2.n, m), m)
-            left -= 1
-            d = evaluate(c1, c2)
-            if d is not None:
-                cur = (c1, c2, d)
-        if cur is None:
-            continue
-
-        while left > 0:
-            left -= 1
-            c1, c2, d = cur
-            prop = _propose_move(rng, c1, c2, mmin)
-            if prop is None:
-                continue
-            nd = evaluate(*prop)
-            if nd is not None and nd < d:
-                cur = (prop[0], prop[1], nd)
-
-    return _result(best, norm_kind, "local-search", False)
-
-
-def _propose_move(rng, c1, c2, mmin):
-    m = c1.m
-    kinds = []
-    if m >= 2:
-        kinds += ["reassign1", "reassign2", "merge"]
-    if m < mmin:
-        kinds.append("split")
-    if not kinds:
-        return None
-    kind = kinds[rng.randrange(len(kinds))]
-
-    if kind in ("reassign1", "reassign2"):
-        c = c1 if kind == "reassign1" else c2
-        s = rng.randrange(c.n)
-        v = c.assign[s]
-        if c.assign.count(v) < 2:
-            return None  # would empty the class
-        w = rng.randrange(m - 1)
-        if w >= v:
-            w += 1
-        moved = Classification(c.assign[:s] + (w,) + c.assign[s + 1:], m)
-        return (moved, c2) if kind == "reassign1" else (c1, moved)
-
-    if kind == "merge":
-        i = rng.randrange(m)
-        j = rng.randrange(m - 1)
-        if j >= i:
-            j += 1
-        x, y = min(i, j), max(i, j)
-
-        def merged(c):
-            return Classification(tuple(x if v == y else v - (v > y) for v in c.assign), m - 1)
-
-        return merged(c1), merged(c2)
-
-    # split: move a non-empty proper subset of one class into a new class,
-    # independently on both sides
-    cidx = rng.randrange(m)
-
-    def split(c):
-        members = [s for s, v in enumerate(c.assign) if v == cidx]
-        if len(members) < 2:
-            return None
-        chosen = [s for s in members if rng.random() < 0.5]
-        if not chosen or len(chosen) == len(members):
-            chosen = [members[rng.randrange(len(members))]]
-        assign = list(c.assign)
-        for s in chosen:
-            assign[s] = m
-        return Classification(tuple(assign), m + 1)
-
-    s1, s2 = split(c1), split(c2)
-    return None if s1 is None or s2 is None else (s1, s2)
+    return _result(search(p1, p2, norm_kind, budget, seed, tol), norm_kind, "local-search", False)

@@ -11,6 +11,7 @@ j (Kemeny-Snell style strong lumping).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,13 +133,6 @@ def sum_by_key(key: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndar
     return key[head], np.bincount(np.cumsum(head) - 1, weights=values[order])
 
 
-# Up to this many (action, state, class) triples, is_lumpable compares the
-# masses as a dense table, state by state up to the first violation; on
-# small systems this beats the sparse lookup's fixed cost of some twenty
-# array operations.
-DENSE_MASSES = 1 << 12
-
-
 def class_masses(
     pts: LabelledPTS, assign: np.ndarray, m: int, dense: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -178,50 +172,30 @@ def is_lumpable(
     n, m = pts.n, c.m
     if m == n:
         return True, None  # every class is one state
-    assign = np.asarray(c.assign)
     firsts: dict[int, int] = {}
-    lead = [firsts.setdefault(v, s) for s, v in enumerate(c.assign)]
+    lead = np.array([firsts.setdefault(v, s) for s, v in enumerate(c.assign)])
     on = pts.enabled_rows()
-    if on.size * m <= DENSE_MASSES:
-        # state by state in class order, up to the first violation
-        key, table = class_masses(pts, assign, m, dense=True)
-        rows, flags = table.tolist(), on.tolist()
-        order = [s for s in sorted(range(n), key=c.assign.__getitem__) if lead[s] != s]
-        i, s = next(
-            (
-                (i, s)
-                for i in range(len(pts.actions))
-                for s in order
-                if flags[i][s] != flags[i][lead[s]]
-                or any(abs(x - y) > tol for x, y in zip(rows[i][s], rows[i][lead[s]]))
-            ),
-            (None, None),
-        )
-        if i is None:
-            return True, None
-    else:
-        lead = np.array(lead)
-        key, mass = class_masses(pts, assign, m)
-        row = key // m
-        state = row % n
-        # each entry's counterpart in the lead's row; it sorts no later
-        lead_key = key + (lead[state] - state) * m
-        at = np.searchsorted(key, lead_key)
-        found = key[at] == lead_key
-        lead_mass = np.where(found, mass[at], 0.0)
-        bad = on != on[:, lead]
-        bad.reshape(-1)[row[np.abs(mass - lead_mass) > tol]] = True
-        # a state also differs where it lacks a class its lead reaches with
-        # more than tol
-        wanted = np.bincount(row[(lead[state] == state) & (np.abs(mass) > tol)], minlength=bad.size)
-        have = np.bincount(row[found & (np.abs(lead_mass) > tol)], minlength=bad.size)
-        bad |= have.reshape(-1, n) < wanted.reshape(-1, n)[:, lead]
-        hits = np.flatnonzero(bad).tolist()
-        if not hits:
-            return True, None
-        # the first violation: first action, then first class, then first state
-        i = hits[0] // n
-        s = min((h - i * n for h in hits if h < (i + 1) * n), key=c.assign.__getitem__)
+    key, mass = class_masses(pts, np.asarray(c.assign), m)
+    row = key // m
+    state = row % n
+    # each entry's counterpart in the lead's row; it sorts no later
+    lead_key = key + (lead[state] - state) * m
+    at = np.searchsorted(key, lead_key)
+    found = key[at] == lead_key
+    lead_mass = np.where(found, mass[at], 0.0)
+    bad = on != on[:, lead]
+    bad.reshape(-1)[row[np.abs(mass - lead_mass) > tol]] = True
+    # a state also differs where it lacks a class its lead reaches with
+    # more than tol
+    wanted = np.bincount(row[(lead[state] == state) & (np.abs(mass) > tol)], minlength=bad.size)
+    have = np.bincount(row[found & (np.abs(lead_mass) > tol)], minlength=bad.size)
+    bad |= have.reshape(-1, n) < wanted.reshape(-1, n)[:, lead]
+    hits = np.flatnonzero(bad).tolist()
+    if not hits:
+        return True, None
+    # the first violation: first action, then first class, then first state
+    i = hits[0] // n
+    s = min((h - i * n for h in hits if h < (i + 1) * n), key=c.assign.__getitem__)
     ld = firsts[c.assign[s]]
     a = pts.actions[i]
     if on[i, s] != on[i, ld]:
@@ -229,13 +203,10 @@ def is_lumpable(
             a, ld, s, None,
             f"enabled({ld})={bool(on[i, ld])}, enabled({s})={bool(on[i, s])}",
         )
-    if key is None:
-        x, y = table[i, ld], table[i, s]
-    else:
-        x, y = np.zeros(m), np.zeros(m)
-        for out, u in ((x, ld), (y, s)):
-            lo, hi = np.searchsorted(key, [(i * n + u) * m, (i * n + u + 1) * m])
-            out[key[lo:hi] % m] = mass[lo:hi]
+    x, y = np.zeros(m), np.zeros(m)
+    for out, u in ((x, ld), (y, s)):
+        lo, hi = np.searchsorted(key, [(i * n + u) * m, (i * n + u + 1) * m])
+        out[key[lo:hi] % m] = mass[lo:hi]
     j = next(j for j, (u, v) in enumerate(zip(x.tolist(), y.tolist())) if abs(v - u) > tol)
     return False, LumpabilityViolation(a, ld, s, j, f"{x[j]!r} vs {y[j]!r}")
 
@@ -259,3 +230,20 @@ def matrix_norm(m: np.ndarray, kind: str = "op-inf") -> float | np.ndarray:
     else:
         raise ValueError(f"unknown norm kind {kind!r}; expected one of {NORM_KINDS}")
     return float(norm) if m.ndim == 2 else norm
+
+
+def table_norm(key: np.ndarray, value: np.ndarray, m: int, kind: str = "op-inf") -> float:
+    """``matrix_norm`` of an m x m matrix given as a table.
+
+    ``value[e]`` is the entry at ``key[e] = row * m + column``, each key
+    at most once; every other entry is 0.  O(m) memory besides the table,
+    whatever the number of zeros.  Sums run in table order, so the norm
+    may differ from ``matrix_norm``'s of the dense matrix by a few ulps.
+    """
+    if kind == "op-inf":
+        return float(np.bincount(key // m, weights=np.abs(value), minlength=m).max())
+    if kind == "entry-max":
+        return float(np.abs(value).max(initial=0.0))
+    if kind == "frobenius":
+        return math.sqrt(float(np.dot(value, value)))
+    raise ValueError(f"unknown norm kind {kind!r}; expected one of {NORM_KINDS}")

@@ -1,0 +1,388 @@
+"""The seeded hill-climbing search behind ``epsilon.epsilon_bisim_search``.
+
+Each system's classification is kept with the class masses its
+lumpability check reads (``_Side``), so a move is checked and undone on
+what it changed; admissible pairs are scored from the sparse ``K+ M K``
+of ``bisim._lumped``.  The module is loaded only when a search runs.
+"""
+
+from __future__ import annotations
+
+import random
+
+import numpy as np
+
+from .bisim import _lumped, coarsest_bisimulation
+from .core import Classification, LabelledPTS, union_actions
+from .epsilon import _beaten
+from .matrices import is_lumpable, table_norm
+
+
+class _Side:
+    """One system's classification during the search, with what the
+    lumpability check of a move reads.
+
+    ``assign`` maps the states to the classes ``0..m-1``; ``members`` holds
+    each class's states and ``lead`` its smallest state, with which
+    ``is_lumpable`` compares the others.  ``masses`` caches, per edge-table
+    row ``i * n + s``, the row's mass into each class, summed over the
+    row's edges in ascending target order as ``class_masses`` sums it, so
+    the check admits exactly what ``is_lumpable`` admits.  A move drops the
+    rows with an edge into a moved state, which are summed again when read.
+    The table's row bounds and, per state, the rows with an edge into it
+    are kept as arrays: O(n + E) memory for any class count.
+
+    Moves are applied at once and logged; ``rollback`` undoes every move
+    since the last ``commit``.
+    """
+
+    def __init__(self, pts: LabelledPTS, tol: float):
+        n = pts.n
+        self.n, self.tol = n, tol
+        self.dst, self.prob = pts.dst, pts.prob
+        self.ptr = np.searchsorted(pts.row, np.arange(len(pts.actions) * n + 1)).tolist()
+        self.into = pts.row[np.argsort(pts.dst, kind="stable")]
+        self.into_ptr = [0, *np.cumsum(np.bincount(pts.dst, minlength=n)).tolist()]
+        self.on = pts.enabled_rows().tolist()
+        self.log: list = []
+
+    def reset(self, assign: tuple[int, ...], m: int) -> None:
+        self.assign = list(assign)
+        self.members: list[set[int]] = [set() for _ in range(m)]
+        for s, v in enumerate(assign):
+            self.members[v].add(s)
+        self.lead = [min(c) for c in self.members]
+        self.masses: dict[int, dict[int, float]] = {}
+        self.log.clear()
+
+    def commit(self) -> None:
+        self.log.clear()
+
+    def rollback(self) -> None:
+        while self.log:
+            self.log.pop()()
+
+    def mass(self, r: int) -> dict[int, float]:
+        got = self.masses.get(r)
+        if got is None:
+            got = {}
+            assign, lo, hi = self.assign, self.ptr[r], self.ptr[r + 1]
+            for t, p in zip(self.dst[lo:hi].tolist(), self.prob[lo:hi].tolist()):
+                j = assign[t]
+                got[j] = got.get(j, 0.0) + p
+            self.masses[r] = got
+        return got
+
+    def agree(self, r: int, r0: int, cols=None) -> bool:
+        """Whether rows ``r`` and ``r0`` place masses within tol of each
+        other into the classes ``cols``, or into every class."""
+        x, y = self.mass(r), self.mass(r0)
+        tol = self.tol
+        return all(
+            abs(x.get(j, 0.0) - y.get(j, 0.0)) <= tol
+            for j in (x.keys() | y.keys() if cols is None else cols)
+        )
+
+    def matches(self, s: int, ld: int) -> bool:
+        """Whether state ``s`` agrees with ``ld`` on every action."""
+        n = self.n
+        return all(
+            on[s] == on[ld] and self.agree(i * n + s, i * n + ld) for i, on in enumerate(self.on)
+        )
+
+    def rows_into(self, states) -> set[int]:
+        into, ptr = self.into, self.into_ptr
+        rows: set[int] = set()
+        for s in states:
+            rows.update(into[ptr[s]:ptr[s + 1]].tolist())
+        return rows
+
+    def move(self, states: list[int], to: int) -> bool:
+        """Move ``states``, all of one class, to class ``to`` (``m`` opens a
+        new class); whether the classification is still a lumping, given
+        that it was one.
+
+        Only what the move touched is checked: the moved states against
+        their new lead, a class whose lead changed in full, and the rows
+        with an edge into a moved state, whose masses change only into the
+        old and the new class, against their leads' rows in those two
+        columns (every member's, when the lead's row is one of them).
+        """
+        assign, members, lead = self.assign, self.members, self.lead
+        src, opened = assign[states[0]], to == len(members)
+        if opened:
+            members.append(set())
+            lead.append(self.n)
+        old = lead[src], lead[to]
+        for s in states:
+            assign[s] = to
+        members[src].difference_update(states)
+        members[to].update(states)
+        lead[src] = old[0] if old[0] in members[src] else min(members[src], default=self.n)
+        lead[to] = min(old[1], min(states))
+        dirty = self.rows_into(states)
+        saved = {r: self.masses.pop(r) for r in dirty if r in self.masses}
+
+        def undo():
+            for s in states:
+                assign[s] = src
+            members[to].difference_update(states)
+            members[src].update(states)
+            lead[src], lead[to] = old
+            if opened:
+                members.pop()
+                lead.pop()
+            for r in dirty:
+                self.masses.pop(r, None)
+            self.masses.update(saved)
+
+        self.log.append(undo)
+        full = [k for k, was in ((src, old[0]), (to, old[1])) if lead[k] != was and members[k]]
+        if to not in full and not all(self.matches(s, lead[to]) for s in states):
+            return False
+        for k in full:
+            if not all(self.matches(s, lead[k]) for s in members[k] if s != lead[k]):
+                return False
+        n, cols, seen = self.n, (src, to), set()
+        for r in dirty:
+            k = assign[r % n]
+            if k in full:
+                continue
+            r0 = r - r % n + lead[k]
+            if r0 not in dirty:
+                if not self.agree(r, r0, cols):
+                    return False
+            elif r0 not in seen:
+                seen.add(r0)
+                others = (u for u in members[k] if u != lead[k])
+                if not all(self.agree(r0 - lead[k] + u, r0, cols) for u in others):
+                    return False
+        return True
+
+    def _swap(self, a: int, b: int) -> None:
+        assign, members, lead = self.assign, self.members, self.lead
+        rows = self.rows_into(members[a] | members[b])
+        for k, to in ((a, b), (b, a)):
+            for s in members[k]:
+                assign[s] = to
+        members[a], members[b] = members[b], members[a]
+        lead[a], lead[b] = lead[b], lead[a]
+        for r in rows:
+            got = self.masses.get(r)
+            if got is not None:
+                x, y = got.pop(a, None), got.pop(b, None)
+                if x is not None:
+                    got[b] = x
+                if y is not None:
+                    got[a] = y
+
+    def swap(self, a: int, b: int) -> bool:
+        """Exchange the labels of classes ``a`` and ``b``: still a lumping."""
+        self._swap(a, b)
+        self.log.append(lambda: self._swap(a, b))
+        return True
+
+    def merge(self, x: int, y: int) -> bool:
+        """Merge class ``y`` into ``x < y``, then give the last class the
+        label ``y``; whether the result is still a lumping."""
+        if not self.move(list(self.members[y]), x):
+            return False
+        last = len(self.members) - 1
+        if last != y:
+            self._swap(last, y)
+        self.members.pop()
+        self.lead.pop()
+
+        def undo():
+            self.members.append(set())
+            self.lead.append(self.n)
+            if last != y:
+                self._swap(y, last)
+
+        self.log.append(undo)
+        return True
+
+
+def _split_part(rng: random.Random, members: set[int]) -> list[int] | None:
+    """A random non-empty proper subset of a class, or None for a singleton."""
+    members = sorted(members)
+    if len(members) < 2:
+        return None
+    chosen = [s for s in members if rng.random() < 0.5]
+    if not chosen or len(chosen) == len(members):
+        chosen = [members[rng.randrange(len(members))]]
+    return chosen
+
+
+def _two_classes(rng: random.Random, m: int) -> tuple[int, int]:
+    """Two distinct classes of ``m``, the smaller first."""
+    i = rng.randrange(m)
+    j = rng.randrange(m - 1)
+    j += j >= i
+    return min(i, j), max(i, j)
+
+
+def _propose(
+    rng: random.Random, sides: tuple[_Side, _Side], mmin: int, walking: bool
+) -> bool | None:
+    """Apply one random move to the pair: reassign one state of one side,
+    merge a class pair on both sides, split one class on both sides or,
+    while ``walking``, swap two class labels of one side.
+
+    While the class counts differ, the move instead merges a class pair
+    on the side with more classes or splits a class on the other.  None
+    when the draw yields no move; otherwise whether both sides are still
+    lumpings, with the move pending ``commit`` or ``rollback``.
+    """
+    m = len(sides[0].members)
+    if m != len(sides[1].members):
+        big, small = sides if m > len(sides[1].members) else sides[::-1]
+        if rng.random() < 0.5:
+            return big.merge(*_two_classes(rng, len(big.members)))
+        part = _split_part(rng, small.members[rng.randrange(len(small.members))])
+        return None if part is None else small.move(part, len(small.members))
+    kinds = []
+    if m >= 2:
+        kinds += ["reassign1", "reassign2", "merge"] + ["swap"] * walking
+    if m < mmin:
+        kinds.append("split")
+    if not kinds:
+        return None
+    kind = kinds[rng.randrange(len(kinds))]
+
+    if kind in ("reassign1", "reassign2"):
+        side = sides[kind == "reassign2"]
+        s = rng.randrange(side.n)
+        v = side.assign[s]
+        if len(side.members[v]) < 2:
+            return None  # would empty the class
+        w = rng.randrange(m - 1)
+        return side.move([s], w + (w >= v))
+    if kind == "merge":
+        x, y = _two_classes(rng, m)
+        return all(side.merge(x, y) for side in sides)
+    if kind == "swap":
+        return sides[rng.randrange(2)].swap(*_two_classes(rng, m))
+
+    # split: move a non-empty proper subset of one class into a new class,
+    # independently on both sides
+    cidx = rng.randrange(m)
+    parts = [_split_part(rng, side.members[cidx]) for side in sides]
+    if parts[0] is None or parts[1] is None:
+        return None
+    return all(side.move(part, m) for side, part in zip(sides, parts))
+
+
+def _lumped_distance(
+    p1: LabelledPTS,
+    p2: LabelledPTS,
+    a1: np.ndarray,
+    a2: np.ndarray,
+    m: int,
+    actions: tuple[str, ...],
+    norm_kind: str,
+) -> float:
+    """``_family_distance`` of the two systems lumped through the
+    assignments ``a1`` and ``a2`` onto ``m`` classes, from the sparse
+    ``K+ M K`` of ``bisim._lumped``, one action of ``actions`` and one
+    system at a time: O(n + E) memory for any m."""
+    worst = 0.0
+    for a in actions:
+        keys, values = [], []
+        for p, assign in ((p1, a1), (p2, a2)):
+            if a in p.actions:
+                i, n = p.actions.index(a), p.n
+                lo, hi = np.searchsorted(p.row, (i * n, i * n + n))
+                one = LabelledPTS.from_edges(n, (a,), p.row[lo:hi] - i * n, p.dst[lo:hi], p.prob[lo:hi])
+                q = _lumped(one, assign, m)
+                keys.append(q.row * m + q.dst)
+                values.append(q.prob)
+            else:
+                keys.append(np.zeros(0, dtype=np.int64))
+                values.append(np.zeros(0))
+        # both tables ascend by key: subtract the right one's entries where
+        # the left has the key, and append the rest negated
+        (k1, k2), (v1, v2) = keys, values
+        at = np.searchsorted(k1, k2)
+        shared = at < k1.size
+        shared[shared] = k1[at[shared]] == k2[shared]
+        diff = v1.copy()
+        diff[at[shared]] -= v2[shared]
+        key = np.concatenate((k1, k2[~shared]))
+        diff = np.concatenate((diff, -v2[~shared]))
+        worst = max(worst, table_norm(key, diff, m, norm_kind))
+    return worst
+
+
+def search(
+    p1: LabelledPTS, p2: LabelledPTS, norm_kind: str, budget: int, seed: int, tol: float
+):
+    """The best ``(epsilon, m, k1 assign, k2 assign)`` the search finds,
+    or None; see ``epsilon.epsilon_bisim_search``."""
+    actions = union_actions(p1, p2)
+    sides = (_Side(p1, tol), _Side(p2, tol))
+    mmin = min(p1.n, p2.n)
+    best = None
+
+    def score() -> float:
+        nonlocal best
+        m = len(sides[0].members)
+        a1, a2 = (np.array(side.assign) for side in sides)
+        d = _lumped_distance(p1, p2, a1, a2, m, actions, norm_kind)
+        cand = (d, m, tuple(sides[0].assign), tuple(sides[1].assign))
+        best = cand if best is None else min(best, cand)
+        return d
+
+    def lumpings(pts: LabelledPTS) -> list[tuple[int, ...]]:
+        found = [tuple(range(pts.n)), coarsest_bisimulation(pts, tol).assign]
+        if is_lumpable(pts, Classification((0,) * pts.n, 1), tol)[0]:
+            found.append((0,) * pts.n)
+        return list(dict.fromkeys(found))
+
+    known = lumpings(p2)
+    pairs = [(a1, a2) for a1 in lumpings(p1) for a2 in known]
+    seeds = []
+    for a1, a2 in pairs:
+        if max(a1) == max(a2):
+            for side, a in zip(sides, (a1, a2)):
+                side.reset(a, max(a) + 1)
+            seeds.append((a1, a2, score()))
+    seeds = seeds or [(a1, a2, None) for a1, a2 in pairs]
+
+    def settled() -> bool:
+        return best is not None and best[:2] == (0.0, 1)
+
+    def hopeless() -> bool:
+        """Whether the current pair loses to ``best`` at any distance."""
+        return _beaten(0.0, len(sides[0].members), tuple(sides[0].assign), best)
+
+    restarts = max(1, min(8, budget // 64))
+    per_restart = max(1, budget // restarts)
+    for r in range(restarts):
+        if settled():
+            break
+        rng = random.Random(seed * 1_000_003 + r)
+        a1, a2, d = seeds[r % len(seeds)]  # d is None until the pair is scored
+        for side, a in zip(sides, (a1, a2)):
+            side.reset(a, max(a) + 1)
+        walk = per_restart // 4 if r >= len(seeds) else 0
+        for step in range(per_restart):
+            if settled():
+                break
+            climbing = step >= walk
+            if climbing and d is None and len(sides[0].members) == len(sides[1].members):
+                d = score()
+            ok = _propose(rng, sides, mmin, not climbing)
+            keep = False
+            if ok and (not climbing or d is None):
+                keep, d = True, None
+            elif ok and not (d == 0.0 and hopeless()):
+                # a pair kept by the climb must beat d, so at d = 0 it is
+                # scored only when it could still beat the best
+                nd = score()
+                keep = nd < d
+                d = nd if keep else d
+            for side in sides:
+                side.commit() if keep else side.rollback()
+
+    return best

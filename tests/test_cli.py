@@ -132,6 +132,7 @@ def test_each_command_imports_only_the_modules_it_runs(planted_files):
         (["bisim", lift, quotient], set()),
         (["quotient", lift, "--coarsest"], set()),
         (["epsilon", lift, quotient], {"epsilon"}),
+        (["epsilon", lift, quotient, "--budget", "50"], {"epsilon", "search"}),
         (["sim-check", kripke, kripke, "--largest"], {"galois"}),
         (["galois-check", galois], {"galois"}),
         (["gen", "random", "--states", "3", "--seed", "1"], {"generators"}),

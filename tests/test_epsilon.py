@@ -1,4 +1,5 @@
 import math
+import random
 import time
 
 import numpy as np
@@ -17,7 +18,7 @@ from pbisim import (
     stirling2,
 )
 from pbisim.core import DEFAULT_TOL
-from pbisim import epsilon
+from pbisim import epsilon, matrices, search
 from pbisim.epsilon import lumping_hull, pair_budget, pair_space
 from pbisim.errors import (
     BudgetExceededError,
@@ -25,6 +26,7 @@ from pbisim.errors import (
     InvalidRangeError,
 )
 from pbisim.generators import gen_planted, gen_random_pts, perturb
+from pbisim.matrices import NORM_KINDS
 
 from helpers import (
     brute_canonical_classifications,
@@ -336,11 +338,71 @@ def test_search_deterministic():
     assert a == b
 
 
-def test_search_witness_reproduces_epsilon():
+@pytest.mark.parametrize("norm", NORM_KINDS)
+def test_search_witness_reproduces_epsilon(norm):
     p1, _, _ = planted_pair(5)
     p2 = perturb(p1, 0.03, 11)
-    res = epsilon_bisim_search(p1, p2, budget=200, seed=7)
+    res = epsilon_bisim_search(p1, p2, norm_kind=norm, budget=200, seed=7)
     assert res.epsilon != math.inf
     again = epsilon_distance(p1, p2, res.k1, res.k2, res.norm_kind)
     assert abs(again - res.epsilon) <= 1e-12
+
+
+def test_search_lumps_on_the_edge_table(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the search built a dense matrix")
+
+    for module in (epsilon, matrices):
+        for name in ("_dense", "lump", "classification_matrix"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    lift, q, _ = planted_pair(5)
+    res = epsilon_bisim_search(lift, q, budget=300, seed=5)
+    assert res.epsilon < 1e-9
+    pert = perturb(lift, 0.02, 6)
+    res = epsilon_bisim_search(lift, pert, budget=300, seed=5)
+    assert 0 < res.epsilon < math.inf
+    monkeypatch.undo()
+    assert epsilon_distance(lift, pert, res.k1, res.k2) == pytest.approx(res.epsilon, abs=1e-12)
+
+
+def _canonical(assign) -> Classification:
+    first: dict[int, int] = {}
+    return Classification(tuple(first.setdefault(v, len(first)) for v in assign), len(first))
+
+
+def test_search_moves_admit_exactly_the_lumpings(monkeypatch):
+    # a move is checked only where it changed masses, classes or leads;
+    # its verdict must be is_lumpable's on the whole classification
+    tol = DEFAULT_TOL
+    u = np.full((5, 5), 1 / 5)
+    systems = [planted_pair(i)[0] for i in range(9)]
+    systems += [tolerance_chain([0.5 + k * step * tol for k in range(4)]) for step in (0.3, 0.6, 1.1)]
+    systems += [tolerance_spread([0.0, -0.6 * tol, 0.9 * tol])]
+    systems += [LabelledPTS(5, ["a", "b"], {"a": u, "b": u})]  # every classification lumps
+    move = search._Side.move
+    pts = None
+    seen = {True: 0, False: 0}
+
+    def checked(side, states, to):
+        ok = move(side, states, to)
+        assert ok == is_lumpable(pts, _canonical(side.assign), tol)[0]
+        seen[ok] += 1
+        return ok
+
+    monkeypatch.setattr(search._Side, "move", checked)
+    rng = random.Random(3)
+    for pts in systems:
+        for start in (coarsest_bisimulation(pts, tol).assign, tuple(range(pts.n))):
+            sides = (search._Side(pts, tol), search._Side(pts, tol))
+            for side in sides:
+                side.reset(start, max(start) + 1)
+            for step in range(150):
+                keep = bool(search._propose(rng, sides, pts.n, step % 2)) and rng.random() < 0.7
+                for side in sides:
+                    side.commit() if keep else side.rollback()
+                    c = Classification(tuple(side.assign), len(side.members))  # onto 0..m-1
+                    assert side.lead == [min(k) for k in side.members]
+                    assert is_lumpable(pts, c, tol)[0]
+    assert seen[True] >= 300 and seen[False] >= 1000
 

@@ -15,6 +15,7 @@ from pbisim import (
     pseudo_inverse,
 )
 from pbisim.errors import DimensionMismatchError, NotClassificationMatrixError
+from pbisim.matrices import table_norm
 from pbisim.generators import gen_planted, gen_random_pts
 
 from helpers import dense, planted_pair
@@ -180,6 +181,19 @@ def test_matrix_norm_examples():
 def test_matrix_norm_unknown_kind():
     with pytest.raises(ValueError):
         matrix_norm(np.eye(2), "spectral")
+
+
+def test_table_norm_is_the_dense_norm():
+    rng = np.random.default_rng(321)
+    for size in (1, 2, 5, 9):
+        for _ in range(20):
+            m = rng.uniform(-1, 1, size=(size, size)) * (rng.random((size, size)) < 0.4)
+            key = np.flatnonzero(m)
+            for kind in ("op-inf", "entry-max", "frobenius"):
+                got = table_norm(key, m.reshape(-1)[key], size, kind)
+                assert got == pytest.approx(matrix_norm(m, kind), rel=1e-15, abs=0.0)
+    with pytest.raises(ValueError):
+        table_norm(np.zeros(0, dtype=np.int64), np.zeros(0), 2, "spectral")
 
 
 def test_norm_homogeneity_and_triangle():

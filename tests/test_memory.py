@@ -3,9 +3,10 @@
 A 50,000-state system held as dense matrices needs 20 GB per action.  The
 commands below run as child processes whose address space is capped at
 1 GiB (importing numpy and pbisim alone maps about 150 MB), so a dense
-allocation anywhere on the bisim, quotient or generator path fails with
-MemoryError.  On the simulation side, a largest simulation of millions of
-pairs must stay an array rather than Python tuples.
+allocation anywhere on the bisim, quotient, epsilon search or generator
+path fails with MemoryError.  On the simulation side, a largest
+simulation of millions of pairs must stay an array rather than Python
+tuples.
 """
 
 import json
@@ -88,6 +89,16 @@ def test_50k_states_run_in_one_gib(wide):
     assert res.returncode == 0, res.stderr[-2000:]
     result = json.loads(res.stdout)["result"]
     assert result["bisimilar"] and result["classes"] == classes
+
+
+def test_epsilon_search_on_50k_states_runs_in_one_gib(wide):
+    # the search keeps each system's edge table and the class masses it
+    # reads; one dense matrix per action needs 37 GiB
+    res = run_limited("epsilon", str(wide), str(wide), "--budget", "10", "--json")
+    assert res.returncode in (0, 1), res.stderr[-2000:]
+    result = json.loads(res.stdout)["result"]
+    assert result["method"] == "local-search"
+    assert result["epsilon"] == 0.0 and 1 < result["classes"] <= 40
 
 
 def test_generators_on_50k_states_run_in_one_gib(wide, tmp_path):

@@ -36,7 +36,6 @@ from pbisim import (
 )
 from pbisim.core import DEFAULT_TOL
 from pbisim.errors import NotLumpableError, PbisimError, RowSumError
-from pbisim import matrices
 from pbisim.formats import parse_pts, print_pts
 from pbisim.matrices import NORM_KINDS, classification_matrix, lump
 
@@ -127,12 +126,8 @@ def test_disjoint_union_matches_dense(corpus):
         assert fast.actions == slow.actions
 
 
-@pytest.mark.parametrize("table", ["dense", "sparse"])
 @pytest.mark.parametrize("corpus", ["dyadic", "fraction"])
-def test_lumpability_and_quotient_match_dense(corpus, table, monkeypatch):
-    if table == "sparse":
-        # these systems are small enough for the dense mass table
-        monkeypatch.setattr(matrices, "DENSE_MASSES", 0)
+def test_lumpability_and_quotient_match_dense(corpus):
     systems = DYADIC if corpus == "dyadic" else FRACTION
     rng = random.Random(17)
     worst = 0.0
@@ -166,11 +161,9 @@ def test_lumpability_and_quotient_match_dense(corpus, table, monkeypatch):
     assert worst <= NON_DYADIC_ULPS
 
 
-@pytest.mark.parametrize("limit", [matrices.DENSE_MASSES, 0])
-def test_violation_found_only_by_a_missing_class(limit, monkeypatch):
+def test_violation_found_only_by_a_missing_class():
     # state 1 matches its lead on class 0 but has no mass into class 1
     # (rows need not be distributions here); both stay enabled
-    monkeypatch.setattr(matrices, "DENSE_MASSES", limit)
     pts = LabelledPTS(3, ("a",), {"a": [[0.6, 0.0, 0.4], [0.6, 0.0, 0.0], [0.0, 0.0, 0.0]]})
     c = Classification((0, 0, 1), 2)
     result = is_lumpable(pts, c)
