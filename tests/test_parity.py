@@ -37,7 +37,7 @@ from pbisim import (
 from pbisim.core import DEFAULT_TOL
 from pbisim.errors import NotLumpableError, PbisimError, RowSumError
 from pbisim.formats import parse_pts, print_pts
-from pbisim.matrices import NORM_KINDS, classification_matrix, lump
+from pbisim.matrices import NORM_KINDS, class_masses, classification_matrix, lump
 
 from helpers import (
     ACTIONS,
@@ -126,14 +126,28 @@ def test_disjoint_union_matches_dense(corpus):
         assert fast.actions == slow.actions
 
 
+@pytest.mark.parametrize("table", ["dense", "sparse"])
 @pytest.mark.parametrize("corpus", ["dyadic", "fraction"])
-def test_lumpability_and_quotient_match_dense(corpus):
+def test_lumpability_and_quotient_match_dense(corpus, table):
+    # ``table`` picks the form of the class masses M K checked here: the
+    # (actions, n, m) array exact epsilon reads, or the keyed entries
+    # is_lumpable and the quotient read
     systems = DYADIC if corpus == "dyadic" else FRACTION
     rng = random.Random(17)
     worst = 0.0
     seen = {True: 0, False: 0}
     for pts in systems:
         for c in classifications(pts, rng):
+            key, got = class_masses(pts, np.asarray(c.assign), c.m, dense=table == "dense")
+            if table == "sparse":
+                assert np.all(np.diff(key) > 0)
+                got = np.bincount(key, weights=got, minlength=len(pts.actions) * pts.n * c.m)
+            got = got.reshape(-1, pts.n, c.m)
+            want = np.array([dense(pts)[a] @ classification_matrix(c) for a in pts.actions])
+            if corpus == "dyadic":
+                assert np.array_equal(got, want), (pts, c)
+            else:
+                worst = max(worst, ulps(got, want))
             result = is_lumpable(pts, c)
             expected = naive_is_lumpable(pts, c)
             if corpus == "dyadic" or result == expected:
@@ -161,13 +175,16 @@ def test_lumpability_and_quotient_match_dense(corpus):
     assert worst <= NON_DYADIC_ULPS
 
 
-def test_violation_found_only_by_a_missing_class():
+@pytest.mark.parametrize("padding", [0, 4096])
+def test_violation_found_only_by_a_missing_class(padding):
     # state 1 matches its lead on class 0 but has no mass into class 1
-    # (rows need not be distributions here); both stay enabled
-    pts = LabelledPTS(3, ("a",), {"a": [[0.6, 0.0, 0.4], [0.6, 0.0, 0.0], [0.0, 0.0, 0.0]]})
+    # (rows need not be distributions here); both stay enabled.  Padding
+    # states without edges, each its own class, leave the violation as it is
+    small = LabelledPTS(3, ("a",), {"a": [[0.6, 0.0, 0.4], [0.6, 0.0, 0.0], [0.0, 0.0, 0.0]]})
     c = Classification((0, 0, 1), 2)
-    result = is_lumpable(pts, c)
-    assert result == naive_is_lumpable(pts, c)
+    pts = LabelledPTS.from_edges(3 + padding, ("a",), small.row, small.dst, small.prob)
+    result = is_lumpable(pts, Classification(c.assign + tuple(range(2, 2 + padding)), 2 + padding))
+    assert result == naive_is_lumpable(small, c)
     assert (result[1].state_b, result[1].target_block) == (1, 1)
 
 
