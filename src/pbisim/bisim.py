@@ -122,7 +122,9 @@ class _Refinement:
         """
         tol = self.tol
         k = len(batch)
-        sets = [self.members[b] for b in batch]
+        # each splitter's states ascending, so that masses add up in
+        # ascending target order, as is_lumpable adds them
+        sets = [sorted(self.members[b]) for b in batch]
         counts = [len(m) for m in sets]
         states = np.fromiter(itertools.chain.from_iterable(sets), np.intp, sum(counts))
         starts = self.ptr[states]

@@ -387,28 +387,30 @@ def epsilon_bisim_search(
     ``r`` starts from seed pair ``r`` (cycling) and climbs, keeping a move
     only when it lowers the distance; from the second visit of a seed on,
     a restart first spends a quarter of its moves on a random walk that
-    keeps every move leaving both sides lumpings, and climbs from there.  Moves: reassign one state of one side, merge a class
-    pair on both sides, or split one class on both sides; the walk also
-    swaps two class labels of one side, which changes how the classes
-    pair up.  A swap always passes the lumpability check, so the climb
-    leaves it out rather than score one pair per swap.  Every move
-    proposed counts against ``budget``.  Once the current pair is at
-    distance 0, a move is scored only if its pair could still beat the
-    best, and the search ends once the best is epsilon 0 at one class,
-    which nothing beats.
+    keeps every move leaving both sides lumpings, and climbs from there.
+    Moves: reassign one state of one side, merge a class pair on both
+    sides, or split one class on both sides; the walk also swaps two class
+    labels of one side, which changes how the classes pair up.  A swap
+    always passes the lumpability check, so the climb leaves it out rather
+    than score one pair per swap.  Every move proposed counts against
+    ``budget``.  Once the current pair is at distance 0, a move is scored
+    only if its pair could still beat the best, and the search ends once
+    the best is epsilon 0 at one class, which nothing beats.
 
-    Cost per move: each side keeps its assignment, classes and the
-    per-(action, state, class) masses it has read (``search._Side``).  A move is
-    applied in place and checked on what it changed: the rows with an
-    edge into a moved state, each summed again over its out-edges, and
-    the members of a class whose smallest state changed.  The check stops
-    at the first violation and admits exactly what ``is_lumpable``
-    admits; a rejected move is undone from a log.  Only a pair that
-    passes is scored, from the sparse ``K+ M K`` of ``bisim._lumped`` and
-    the norms of ``matrices.table_norm``, in O(E log E) time.  Memory:
-    O(n + E) per side, whatever the class count; no n x n or m x m matrix
-    is built.  The epsilon reported may differ by a few ulps from
-    ``epsilon_distance`` on the witnesses, which lumps dense matrices.
+    Cost per move: each side keeps only its assignment, classes and their
+    smallest states (``search._Side``).  A move is applied in place and
+    checked by one rule: every moved state, every state with an edge into
+    a moved state, and every member of a class whose smallest state
+    changed or is one of those states must match its class's smallest
+    state on every action, with the masses summed from the edge table as
+    they are read.  The check stops at the first violation and admits
+    exactly what ``is_lumpable`` admits; a rejected move is undone from a
+    log.  Only a pair that passes is scored, from the sparse ``K+ M K`` of
+    ``bisim._lumped`` and the norms of ``matrices.table_norm``, in
+    O(E log E) time.  Memory: O(n + E) per side, whatever the class
+    count; no n x n or m x m matrix is built.  The epsilon reported may
+    differ by a few ulps from ``epsilon_distance`` on the witnesses, which
+    lumps dense matrices.
     """
     # the search's machinery is compiled only when a search runs, so the
     # exact scan's command does not load it

@@ -207,7 +207,8 @@ def is_lumpable(
     for out, u in ((x, ld), (y, s)):
         lo, hi = np.searchsorted(key, [(i * n + u) * m, (i * n + u + 1) * m])
         out[key[lo:hi] % m] = mass[lo:hi]
-    j = next(j for j, (u, v) in enumerate(zip(x.tolist(), y.tolist())) if abs(v - u) > tol)
+    x, y = x.tolist(), y.tolist()
+    j = next(j for j, (u, v) in enumerate(zip(x, y)) if abs(v - u) > tol)
     return False, LumpabilityViolation(a, ld, s, j, f"{x[j]!r} vs {y[j]!r}")
 
 

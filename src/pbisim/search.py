@@ -1,9 +1,9 @@
 """The seeded hill-climbing search behind ``epsilon.epsilon_bisim_search``.
 
-Each system's classification is kept with the class masses its
-lumpability check reads (``_Side``), so a move is checked and undone on
-what it changed; admissible pairs are scored from the sparse ``K+ M K``
-of ``bisim._lumped``.  The module is loaded only when a search runs.
+Each system's classification is kept as it is (``_Side``), so a move is
+applied in place, checked on the states it touched and undone from a
+log; admissible pairs are scored from the sparse ``K+ M K`` of
+``bisim._lumped``.  The module is loaded only when a search runs.
 """
 
 from __future__ import annotations
@@ -19,18 +19,16 @@ from .matrices import is_lumpable, table_norm
 
 
 class _Side:
-    """One system's classification during the search, with what the
-    lumpability check of a move reads.
+    """One system's classification during the search.
 
     ``assign`` maps the states to the classes ``0..m-1``; ``members`` holds
     each class's states and ``lead`` its smallest state, with which
-    ``is_lumpable`` compares the others.  ``masses`` caches, per edge-table
-    row ``i * n + s``, the row's mass into each class, summed over the
-    row's edges in ascending target order as ``class_masses`` sums it, so
-    the check admits exactly what ``is_lumpable`` admits.  A move drops the
-    rows with an edge into a moved state, which are summed again when read.
-    The table's row bounds and, per state, the rows with an edge into it
-    are kept as arrays: O(n + E) memory for any class count.
+    ``is_lumpable`` compares the others.  A row's mass into each class is
+    summed from the edge table whenever it is read, over the row's edges
+    in ascending target order as ``class_masses`` sums it, so the check
+    admits exactly what ``is_lumpable`` admits.  The table's row bounds
+    and, per state, the sources of its incoming edges are kept as arrays:
+    O(n + E) memory for any class count.
 
     Moves are applied at once and logged; ``rollback`` undoes every move
     since the last ``commit``.
@@ -41,8 +39,8 @@ class _Side:
         self.n, self.tol = n, tol
         self.dst, self.prob = pts.dst, pts.prob
         self.ptr = np.searchsorted(pts.row, np.arange(len(pts.actions) * n + 1)).tolist()
-        self.into = pts.row[np.argsort(pts.dst, kind="stable")]
-        self.into_ptr = [0, *np.cumsum(np.bincount(pts.dst, minlength=n)).tolist()]
+        self.pred = pts.row[np.argsort(pts.dst, kind="stable")] % n
+        self.pred_ptr = [0, *np.cumsum(np.bincount(pts.dst, minlength=n)).tolist()]
         self.on = pts.enabled_rows().tolist()
         self.log: list = []
 
@@ -52,7 +50,6 @@ class _Side:
         for s, v in enumerate(assign):
             self.members[v].add(s)
         self.lead = [min(c) for c in self.members]
-        self.masses: dict[int, dict[int, float]] = {}
         self.log.clear()
 
     def commit(self) -> None:
@@ -63,50 +60,38 @@ class _Side:
             self.log.pop()()
 
     def mass(self, r: int) -> dict[int, float]:
-        got = self.masses.get(r)
-        if got is None:
-            got = {}
-            assign, lo, hi = self.assign, self.ptr[r], self.ptr[r + 1]
-            for t, p in zip(self.dst[lo:hi].tolist(), self.prob[lo:hi].tolist()):
-                j = assign[t]
-                got[j] = got.get(j, 0.0) + p
-            self.masses[r] = got
+        """Edge-table row ``r``'s mass into each class it reaches."""
+        got: dict[int, float] = {}
+        assign, lo, hi = self.assign, self.ptr[r], self.ptr[r + 1]
+        for t, p in zip(self.dst[lo:hi].tolist(), self.prob[lo:hi].tolist()):
+            j = assign[t]
+            got[j] = got.get(j, 0.0) + p
         return got
 
-    def agree(self, r: int, r0: int, cols=None) -> bool:
+    def agree(self, r: int, r0: int) -> bool:
         """Whether rows ``r`` and ``r0`` place masses within tol of each
-        other into the classes ``cols``, or into every class."""
+        other into every class."""
         x, y = self.mass(r), self.mass(r0)
         tol = self.tol
-        return all(
-            abs(x.get(j, 0.0) - y.get(j, 0.0)) <= tol
-            for j in (x.keys() | y.keys() if cols is None else cols)
-        )
+        return all(abs(x.get(j, 0.0) - y.get(j, 0.0)) <= tol for j in x.keys() | y.keys())
 
-    def matches(self, s: int, ld: int) -> bool:
-        """Whether state ``s`` agrees with ``ld`` on every action."""
-        n = self.n
-        return all(
+    def matches(self, s: int) -> bool:
+        """Whether state ``s`` agrees with its class's lead on every action."""
+        n, ld = self.n, self.lead[self.assign[s]]
+        return s == ld or all(
             on[s] == on[ld] and self.agree(i * n + s, i * n + ld) for i, on in enumerate(self.on)
         )
-
-    def rows_into(self, states) -> set[int]:
-        into, ptr = self.into, self.into_ptr
-        rows: set[int] = set()
-        for s in states:
-            rows.update(into[ptr[s]:ptr[s + 1]].tolist())
-        return rows
 
     def move(self, states: list[int], to: int) -> bool:
         """Move ``states``, all of one class, to class ``to`` (``m`` opens a
         new class); whether the classification is still a lumping, given
         that it was one.
 
-        Only what the move touched is checked: the moved states against
-        their new lead, a class whose lead changed in full, and the rows
-        with an edge into a moved state, whose masses change only into the
-        old and the new class, against their leads' rows in those two
-        columns (every member's, when the lead's row is one of them).
+        A move changes masses only into its two classes, and only in the
+        rows of the states with an edge into a moved state.  So every
+        moved state, every such state, and every member of a class whose
+        lead changed or is one of these states is checked against its
+        lead; no other state's verdict can have changed.
         """
         assign, members, lead = self.assign, self.members, self.lead
         src, opened = assign[states[0]], to == len(members)
@@ -120,8 +105,6 @@ class _Side:
         members[to].update(states)
         lead[src] = old[0] if old[0] in members[src] else min(members[src], default=self.n)
         lead[to] = min(old[1], min(states))
-        dirty = self.rows_into(states)
-        saved = {r: self.masses.pop(r) for r in dirty if r in self.masses}
 
         def undo():
             for s in states:
@@ -132,49 +115,26 @@ class _Side:
             if opened:
                 members.pop()
                 lead.pop()
-            for r in dirty:
-                self.masses.pop(r, None)
-            self.masses.update(saved)
 
         self.log.append(undo)
-        full = [k for k, was in ((src, old[0]), (to, old[1])) if lead[k] != was and members[k]]
-        if to not in full and not all(self.matches(s, lead[to]) for s in states):
-            return False
-        for k in full:
-            if not all(self.matches(s, lead[k]) for s in members[k] if s != lead[k]):
-                return False
-        n, cols, seen = self.n, (src, to), set()
-        for r in dirty:
-            k = assign[r % n]
-            if k in full:
-                continue
-            r0 = r - r % n + lead[k]
-            if r0 not in dirty:
-                if not self.agree(r, r0, cols):
-                    return False
-            elif r0 not in seen:
-                seen.add(r0)
-                others = (u for u in members[k] if u != lead[k])
-                if not all(self.agree(r0 - lead[k] + u, r0, cols) for u in others):
-                    return False
-        return True
+        touched = set(states)
+        for s in states:
+            touched.update(self.pred[self.pred_ptr[s]:self.pred_ptr[s + 1]].tolist())
+        check = set(touched)
+        if lead[src] != old[0]:  # a new lead of ``to`` is a moved state
+            check |= members[src]
+        for s in touched:
+            if lead[assign[s]] == s:
+                check |= members[assign[s]]
+        return all(self.matches(s) for s in check)
 
     def _swap(self, a: int, b: int) -> None:
         assign, members, lead = self.assign, self.members, self.lead
-        rows = self.rows_into(members[a] | members[b])
         for k, to in ((a, b), (b, a)):
             for s in members[k]:
                 assign[s] = to
         members[a], members[b] = members[b], members[a]
         lead[a], lead[b] = lead[b], lead[a]
-        for r in rows:
-            got = self.masses.get(r)
-            if got is not None:
-                x, y = got.pop(a, None), got.pop(b, None)
-                if x is not None:
-                    got[b] = x
-                if y is not None:
-                    got[a] = y
 
     def swap(self, a: int, b: int) -> bool:
         """Exchange the labels of classes ``a`` and ``b``: still a lumping."""

@@ -409,7 +409,7 @@ def naive_is_lumpable(
                     j = int(bad[0])
                     return False, LumpabilityViolation(
                         a, lead, s, j,
-                        f"{masses[lead][j]!r} vs {masses[s][j]!r}",
+                        f"{float(masses[lead][j])!r} vs {float(masses[s][j])!r}",
                     )
     return True, None
 

@@ -338,6 +338,66 @@ def test_search_deterministic():
     assert a == b
 
 
+def search_pairs():
+    """The pairs of the search tests above and below: name, systems,
+    budget and seed."""
+    for i in range(6):
+        p1 = gen_random_pts(4 + i % 2, ["a", "b"], 0.7, 70 + i)
+        yield f"dominates-{i}", p1, perturb(p1, 0.02, 80 + i), 300, 42
+    p1, _, _ = planted_pair(5)
+    yield "witness", p1, perturb(p1, 0.03, 11), 200, 7
+    p1 = LabelledPTS(2, ("a",), {"a": [[1.0, 0.0], [0.0, 0.0]]})
+    p2 = LabelledPTS(3, ("a",), {"a": [[0.0, 0.3, 0.7], [0.1, 0.25, 0.65], [0.2, 0.35, 0.45]]})
+    yield "unbounded", p1, p2, 100, 0
+    lift, q, _ = planted_pair(2)
+    yield "deterministic", lift, q, 250, 42
+    lift, _, _ = planted_pair(5)
+    yield "edge-table", lift, perturb(lift, 0.02, 6), 300, 5
+
+
+# (repr(epsilon), m, k1, k2) of each search pair under each norm
+SEARCH_PINS = {
+    ("dominates-0", "op-inf"): ('0.03999900817871094', 4, (0, 1, 2, 3), (0, 1, 2, 3)),
+    ("dominates-0", "entry-max"): ('0.01999950408935547', 4, (0, 1, 2, 3), (0, 1, 2, 3)),
+    ("dominates-0", "frobenius"): ('0.04898858012762645', 4, (0, 1, 2, 3), (0, 1, 2, 3)),
+    ("dominates-1", "op-inf"): ('0.03999900817871094', 5, (0, 1, 2, 3, 4), (0, 1, 2, 3, 4)),
+    ("dominates-1", "entry-max"): ('0.01999950408935547', 5, (0, 1, 2, 3, 4), (0, 1, 2, 3, 4)),
+    ("dominates-1", "frobenius"): ('0.056567139847805356', 5, (0, 1, 2, 3, 4), (0, 1, 2, 3, 4)),
+    ("dominates-2", "op-inf"): ('0.03999900817871094', 4, (0, 1, 2, 3), (0, 1, 2, 3)),
+    ("dominates-2", "entry-max"): ('0.01999950408935547', 4, (0, 1, 2, 3), (0, 1, 2, 3)),
+    ("dominates-2", "frobenius"): ('0.04898858012762645', 4, (0, 1, 2, 3), (0, 1, 2, 3)),
+    ("dominates-3", "op-inf"): ('0.03999900817871094', 5, (0, 1, 2, 3, 4), (0, 1, 2, 3, 4)),
+    ("dominates-3", "entry-max"): ('0.01999950408935547', 5, (0, 1, 2, 3, 4), (0, 1, 2, 3, 4)),
+    ("dominates-3", "frobenius"): ('0.05054083717330659', 5, (0, 1, 2, 3, 4), (0, 1, 2, 3, 4)),
+    ("dominates-4", "op-inf"): ('0.03999900817871094', 4, (0, 1, 2, 3), (0, 1, 2, 3)),
+    ("dominates-4", "entry-max"): ('0.01999950408935547', 4, (0, 1, 2, 3), (0, 1, 2, 3)),
+    ("dominates-4", "frobenius"): ('0.04898858012762645', 4, (0, 1, 2, 3), (0, 1, 2, 3)),
+    ("dominates-5", "op-inf"): ('0.03999900817871094', 4, (0, 1, 2, 1, 3), (0, 1, 2, 1, 3)),
+    ("dominates-5", "entry-max"): ('0.01999950408935547', 4, (0, 1, 2, 1, 3), (0, 1, 2, 1, 3)),
+    ("dominates-5", "frobenius"): ('0.04898858012762645', 4, (0, 1, 2, 1, 3), (0, 1, 2, 1, 3)),
+    ("witness", "op-inf"): ('0.05999946594238281', 5, (0, 1, 2, 3, 4), (0, 1, 2, 3, 4)),
+    ("witness", "entry-max"): ('0.029999732971191406', 5, (0, 1, 2, 3, 4), (0, 1, 2, 3, 4)),
+    ("witness", "frobenius"): ('0.0641289867229748', 5, (0, 1, 2, 3, 4), (0, 1, 2, 3, 4)),
+    ("unbounded", "op-inf"): ('inf', None, None, None),
+    ("unbounded", "entry-max"): ('inf', None, None, None),
+    ("unbounded", "frobenius"): ('inf', None, None, None),
+    ("deterministic", "op-inf"): ('0.0', 3, (0, 0, 1, 1, 2), (0, 1, 2)),
+    ("deterministic", "entry-max"): ('0.0', 3, (0, 0, 1, 1, 2), (0, 1, 2)),
+    ("deterministic", "frobenius"): ('0.0', 3, (0, 0, 1, 1, 2), (0, 1, 2)),
+    ("edge-table", "op-inf"): ('0.03999900817871094', 5, (0, 1, 2, 3, 4), (0, 1, 2, 3, 4)),
+    ("edge-table", "entry-max"): ('0.01999950408935547', 5, (0, 1, 2, 3, 4), (0, 1, 2, 3, 4)),
+    ("edge-table", "frobenius"): ('0.04898858012762645', 5, (0, 1, 2, 3, 4), (0, 1, 2, 3, 4)),
+}
+
+
+@pytest.mark.parametrize("norm", NORM_KINDS)
+def test_search_results_are_pinned(norm):
+    for name, p1, p2, budget, seed in search_pairs():
+        res = epsilon_bisim_search(p1, p2, norm_kind=norm, budget=budget, seed=seed)
+        got = (repr(res.epsilon), res.m, res.k1 and res.k1.assign, res.k2 and res.k2.assign)
+        assert got == SEARCH_PINS[name, norm], name
+
+
 def test_search_witness_reproduces_epsilon():
     p1, _, _ = planted_pair(5)
     p2 = perturb(p1, 0.03, 11)

@@ -18,7 +18,9 @@ from pbisim import (
     coarsest_bisimulation,
     is_lumpable,
 )
+from pbisim import cli
 from pbisim.core import DEFAULT_TOL
+from pbisim.formats import print_pts
 from pbisim.generators import gen_planted, gen_random_pts
 
 from helpers import ACTIONS, brute_coarsest, canonical, dense, naive_coarsest, tolerance_chain
@@ -156,11 +158,12 @@ def test_tolerance_groups_are_led_by_their_smallest_mass():
     assert coarsest_bisimulation(tolerance_chain(run)).assign == (0, 0, 1, 1, 2, 2, 3, 4)
 
 
-def test_masses_into_a_block_add_up_as_the_lumpability_check_adds_them():
-    # s0 and s1 spread their mass over the eight T states, which loop on b;
-    # added one edge at a time, as is_lumpable adds them, their totals
-    # differ by just over tol, and by just under it in np.add.reduce's order
-    # (the first value plus the pairwise sum of the rest)
+def split_masses() -> LabelledPTS:
+    """s0 and s1 spread their mass over the eight T states, which loop on b;
+    added one edge at a time, in ascending target order as is_lumpable adds
+    them, their totals differ by just over tol, and by just under it in
+    np.add.reduce's order (the first value plus the pairwise sum of the
+    rest)."""
     head = [0.08408882463731857, 0.10198001464157114, 0.11476524503003381,
             0.07369840609231615, 0.09786219745700336, 0.013989619684122444,
             0.09441603915393432]
@@ -170,10 +173,44 @@ def test_masses_into_a_block_add_up_as_the_lumpability_check_adds_them():
     a[0, 10] = 1.0 - a[0].sum()
     a[1, 10] = a[0, 10] - 5e-10  # so that both rows sum to 1 within tol
     b[range(2, 10), range(2, 10)] = c[10, 10] = 1.0
-    pts = LabelledPTS(11, ("a", "b", "c"), {"a": a, "b": b, "c": c})
+    return LabelledPTS(11, ("a", "b", "c"), {"a": a, "b": b, "c": c})
+
+
+def placed(pts: LabelledPTS, ids: list[int], n: int) -> LabelledPTS:
+    """``pts`` with state ``s`` renamed ``ids[s]`` among ``n`` states; the
+    others loop on a fourth action."""
+    ids = np.asarray(ids)
+    action, src = np.divmod(pts.row, pts.n)
+    rest = np.setdiff1d(np.arange(n), ids)
+    row = np.concatenate((action * n + ids[src], len(pts.actions) * n + rest))
+    dst = np.concatenate((ids[pts.dst], rest))
+    prob = np.concatenate((pts.prob, np.ones(rest.size)))
+    order = np.lexsort((dst, row))
+    return LabelledPTS.from_edges(n, pts.actions + ("d",), row[order], dst[order], prob[order])
+
+
+def test_masses_into_a_block_add_up_as_the_lumpability_check_adds_them():
+    pts = split_masses()
     part = coarsest_bisimulation(pts)
     assert part.assign == (0, 1) + (2,) * 8 + (3,)
     assert is_lumpable(pts, part)[0]
+
+
+def test_masses_add_up_in_target_order_wherever_the_states_are_placed(tmp_path):
+    # refinement gathers a splitter's states in ascending order, so the
+    # masses into it add up as is_lumpable adds them for any state ids
+    pts = placed(split_masses(), [8, 16, 7, 31, 48, 28, 30, 41, 24, 50, 13], 64)
+    assert is_lumpable(pts, coarsest_bisimulation(pts))[0]
+    path = tmp_path / "f.pts"
+    path.write_text(print_pts(pts))
+    assert cli.main(["quotient", str(path), "--coarsest"]) == 0
+    # whether s0 and s1 share a class depends on the order of their targets
+    rng = random.Random(14)
+    for n in (64, 200, 1000):
+        for _ in range(100):
+            pts = placed(split_masses(), rng.sample(range(n), 11), n)
+            part = coarsest_bisimulation(pts)
+            assert part.m in (4, 5) and is_lumpable(pts, part)[0]
 
 
 def test_coarsest_classification_is_a_restricted_growth_string():
