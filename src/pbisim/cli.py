@@ -11,22 +11,24 @@ reported with its traceback on standard error.
 
 Every command prints a human summary by default and a canonical JSON
 report with --json; reports are byte-identical across runs for fixed
-seeds and inputs except for the wall-time field.  File arguments accept
-'-' for standard input.
+seeds and inputs except for the wall-time field.  One file argument may
+be '-' for standard input.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
 import traceback
 
+# before numpy loads: no command's products need a second, spinning BLAS thread
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from . import __version__
-from .bisim import are_bisimilar, coarsest_bisimulation, quotient
-from .core import DEFAULT_TOL
-from .errors import BudgetExceededError, ParseError, PbisimError
+from .errors import DEFAULT_TOL, BudgetExceededError, ParseError, PbisimError
 from .formats import (
     parse_classification,
     parse_galois,
@@ -37,6 +39,15 @@ from .formats import (
     print_pts,
 )
 from .report import input_entry, make_report, report_json
+
+
+def __getattr__(name: str):
+    # the handlers import these when called; perfbench's tracer reads them here
+    if name in ("are_bisimilar", "coarsest_bisimulation", "quotient"):
+        from . import bisim
+
+        return getattr(bisim, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _decode(data: bytes) -> str:
@@ -68,6 +79,8 @@ def _assign_by_name(names, classification):
 
 
 def _cmd_bisim(args):
+    from .bisim import are_bisimilar
+
     (p1, names1), in1 = _load(args.system1, parse_pts, args.tol)
     (p2, names2), in2 = _load(args.system2, parse_pts, args.tol)
     ok, witness = are_bisimilar(p1, p2, args.tol)
@@ -99,6 +112,8 @@ def _cmd_bisim(args):
 
 
 def _cmd_quotient(args):
+    from .bisim import coarsest_bisimulation, quotient
+
     (pts, names), entry = _load(args.system, parse_pts, args.tol)
     inputs = [entry]
     if args.coarsest:
@@ -373,21 +388,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
+    sources = []
+
+    def source(path: str) -> str:
+        if path == "-" and "-" in sources:
+            raise argparse.ArgumentTypeError("standard input can be read only once")
+        sources.append(path)
+        return path
 
     def add_common(p):
         p.add_argument("--json", action="store_true", help="print a JSON report")
 
     p = sub.add_parser("bisim", help="check two systems for bisimilarity")
-    p.add_argument("system1")
-    p.add_argument("system2")
+    p.add_argument("system1", type=source)
+    p.add_argument("system2", type=source)
     p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     add_common(p)
     p.set_defaults(func=_cmd_bisim)
 
     p = sub.add_parser("quotient", help="lump a system through a classification")
-    p.add_argument("system")
+    p.add_argument("system", type=source)
     grp = p.add_mutually_exclusive_group(required=True)
-    grp.add_argument("--partition", metavar="FILE", help="classification file")
+    grp.add_argument("--partition", metavar="FILE", type=source, help="classification file")
     grp.add_argument("--coarsest", action="store_true",
                      help="use the coarsest bisimulation")
     p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
@@ -395,8 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_quotient)
 
     p = sub.add_parser("epsilon", help="approximate bisimilarity distance")
-    p.add_argument("system1")
-    p.add_argument("system2")
+    p.add_argument("system1", type=source)
+    p.add_argument("system2", type=source)
     p.add_argument("--norm", choices=["op-inf", "entry-max", "frobenius"],
                    default="op-inf")
     grp = p.add_mutually_exclusive_group()
@@ -412,17 +434,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_epsilon)
 
     p = sub.add_parser("sim-check", help="check or compute a simulation relation")
-    p.add_argument("concrete")
-    p.add_argument("abstract")
+    p.add_argument("concrete", type=source)
+    p.add_argument("abstract", type=source)
     grp = p.add_mutually_exclusive_group(required=True)
-    grp.add_argument("--relation", metavar="FILE")
+    grp.add_argument("--relation", metavar="FILE", type=source)
     grp.add_argument("--largest", action="store_true")
     add_common(p)
     p.set_defaults(func=_cmd_sim_check)
 
     p = sub.add_parser("galois-check", help="verify a Galois connection spec")
-    p.add_argument("spec")
-    p.add_argument("--against", nargs=2, metavar=("C.kripke", "A.kripke"),
+    p.add_argument("spec", type=source)
+    p.add_argument("--against", nargs=2, metavar=("C.kripke", "A.kripke"), type=source,
                    help="also check the induced simulation basis")
     add_common(p)
     p.set_defaults(func=_cmd_galois_check)

@@ -23,14 +23,13 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import (
+    DEFAULT_TOL,
     EmptyActionSetError,
     NegativeEntryError,
     NonSurjectiveError,
     RowSumError,
     ValidationError,
 )
-
-DEFAULT_TOL = 1e-9
 
 
 class LabelledPTS:

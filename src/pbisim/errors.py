@@ -9,6 +9,8 @@ import math
 # Counts of more decimal digits than this are reported approximately:
 # Python's default limit refuses to turn them into text.
 MAX_DIGITS = 4300
+# Here, not in core, so that the command line and the parsers need no numpy.
+DEFAULT_TOL = 1e-9
 
 
 class PbisimError(Exception):

@@ -33,10 +33,10 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import Classification, DEFAULT_TOL, LabelledPTS, validate_pts
-from .errors import ParseError, UnknownNameError
+from .errors import DEFAULT_TOL, ParseError, UnknownNameError
 
-if TYPE_CHECKING:  # the Kripke-side parsers import these when called
+if TYPE_CHECKING:  # the parsers import these when called
+    from .core import Classification, LabelledPTS
     from .galois import GaloisSpec, KripkeStructure, Relation
 
 
@@ -85,6 +85,8 @@ def parse_pts(text: str, tol: float = DEFAULT_TOL) -> tuple[LabelledPTS, tuple[s
     after building the edge arrays, so a syntactically fine file with bad
     row sums is still rejected.
     """
+    from .core import LabelledPTS, validate_pts
+
     names: list[str] | None = None
     actions: list[str] | None = None
     index: dict[str, int] = {}
@@ -193,6 +195,8 @@ def print_pts(pts: LabelledPTS, names: tuple[str, ...] | None = None) -> str:
 
 def parse_classification(text: str, names: tuple[str, ...]) -> Classification:
     """Parse a state-to-class map against a known state-name table."""
+    from .core import Classification
+
     index = {s: i for i, s in enumerate(names)}
     assign: dict[int, int] = {}
     for lineno, line in _lines(text):

@@ -1,4 +1,5 @@
 import json
+import os
 import random
 import subprocess
 import sys
@@ -120,24 +121,23 @@ def test_epsilon_search_deterministic_reports(planted_files):
     assert json.dumps(ra, sort_keys=True) == json.dumps(rb, sort_keys=True)
 
 
-COMMON_MODULES = {"bisim", "cli", "core", "errors", "formats", "matrices", "report"}
-
-
 def test_each_command_imports_only_the_modules_it_runs(planted_files):
     tmp = planted_files["tmp"]
     kripke = write(tmp, "c.kripke", "states: c0 c1\nc0 -> c1\n")
     galois = write(tmp, "g.galois", "abstract: top\nalpha: c0 top\n")
     lift, quotient = planted_files["lift"], planted_files["quotient"]
+    front = {"cli", "errors", "formats", "report"}
+    systems = front | {"core", "matrices"}
     table = [
-        (["bisim", lift, quotient], set()),
-        (["quotient", lift, "--coarsest"], set()),
-        (["epsilon", lift, quotient], {"epsilon"}),
-        (["epsilon", lift, quotient, "--budget", "50"], {"epsilon", "search"}),
-        (["sim-check", kripke, kripke, "--largest"], {"galois"}),
-        (["galois-check", galois], {"galois"}),
-        (["gen", "random", "--states", "3", "--seed", "1"], {"generators"}),
+        (["bisim", lift, quotient], systems | {"bisim"}),
+        (["quotient", lift, "--coarsest"], systems | {"bisim"}),
+        (["epsilon", lift, quotient], systems | {"epsilon"}),
+        (["epsilon", lift, quotient, "--budget", "50"], systems | {"bisim", "epsilon", "search"}),
+        (["sim-check", kripke, kripke, "--largest"], front | {"galois"}),
+        (["galois-check", galois], front | {"galois"}),
+        (["gen", "random", "--states", "3", "--seed", "1"], front | {"core", "generators"}),
     ]
-    for argv, extra in table:
+    for argv, expected in table:
         res = subprocess.run(
             [sys.executable, "-X", "importtime", "-m", "pbisim", *argv],
             capture_output=True, text=True,
@@ -146,8 +146,31 @@ def test_each_command_imports_only_the_modules_it_runs(planted_files):
         loaded = {line.rsplit("|", 1)[1].strip() for line in res.stderr.splitlines()
                   if line.startswith("import time:")}
         modules = {m.split(".", 1)[1] for m in loaded if m.startswith("pbisim.")}
-        assert modules == COMMON_MODULES | extra, argv[0]
+        assert modules == expected, argv
         assert "numpy.ma" not in loaded, argv[0]
+
+
+BLAS_PROBE = """
+import os, sys
+import pbisim.cli
+assert "numpy" in sys.modules
+tasks = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+print(os.environ.get("OPENBLAS_NUM_THREADS"), tasks)
+"""
+
+
+@pytest.mark.parametrize("given", [None, "2"])
+def test_the_cli_runs_numpy_on_one_blas_thread_unless_told_otherwise(given):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if given is not None:
+        env["OPENBLAS_NUM_THREADS"] = given
+    res = subprocess.run([sys.executable, "-c", BLAS_PROBE], env=env,
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    value, tasks = res.stdout.split()
+    assert value == (given or "1")
+    if given is None and tasks != "None":
+        assert tasks == "1"
 
 
 def test_the_package_resolves_every_public_name_lazily():
@@ -400,6 +423,20 @@ def test_budget_must_be_positive(one_state):
         res = run_cli("epsilon", one_state, one_state, "--budget", value)
         assert res.returncode == 2
         assert "argument --budget: must be >= 1" in res.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["bisim", "-", "-"],
+    ["epsilon", "-", "-"],
+    ["sim-check", "-", "-", "--largest"],
+    ["quotient", "-", "--partition", "-"],
+    ["galois-check", "-", "--against", "-", "f"],
+])
+def test_standard_input_is_named_at_most_once(argv):
+    stdin = {"sim-check": "states: c0\n", "galois-check": "abstract: top\nalpha: c0 top\n"}
+    res = run_cli(*argv, stdin=stdin.get(argv[0], "states: s0\nactions: a\ns0 a s0 1\n"))
+    assert res.returncode == 2, res.stderr
+    assert "standard input can be read only once" in res.stderr
 
 
 def test_pair_cap_must_be_positive(one_state):
