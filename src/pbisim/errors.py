@@ -9,7 +9,7 @@ import math
 # Counts of more decimal digits than this are reported approximately:
 # Python's default limit refuses to turn them into text.
 MAX_DIGITS = 4300
-# Here, not in core, so that the command line and the parsers need no numpy.
+# Here, not in core, so that the command line and the parsers need not load core.
 DEFAULT_TOL = 1e-9
 
 
