@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import Classification, DEFAULT_TOL, LabelledPTS, disjoint_union
 from .errors import NotLumpableError, ValidationError
-from .matrices import class_masses, is_lumpable, sum_by_key
+from .matrices import is_lumpable, lumped, sum_by_key
 
 
 @dataclass(frozen=True)
@@ -197,24 +197,12 @@ class _Refinement:
         return True
 
 
-def _lumped(pts: LabelledPTS, assign: np.ndarray, m: int) -> LabelledPTS:
-    """``K+ M K`` over ``m`` classes: each class's mass into each class,
-    summed over the class's states in ascending order, over its size."""
-    sizes = np.bincount(assign, minlength=m)
-    key, mass = class_masses(pts, assign, m)
-    action, state = np.divmod(key // m, pts.n)
-    # one total per (action, source class, target class)
-    key, total = sum_by_key((action * m + assign[state]) * m + key % m, mass)
-    row = key // m
-    return LabelledPTS.from_edges(m, pts.actions, row, key % m, total / sizes[row % m])
-
-
 def quotient(pts: LabelledPTS, c: Classification, tol: float = DEFAULT_TOL) -> LabelledPTS:
     """Lump a system through a classification that must be lumpable."""
     ok, violation = is_lumpable(pts, c, tol)
     if not ok:
         raise NotLumpableError(violation)
-    return _lumped(pts, np.asarray(c.assign), c.m)
+    return lumped(pts, np.asarray(c.assign), c.m)
 
 
 def are_bisimilar(
@@ -235,4 +223,4 @@ def are_bisimilar(
         return False, None
     k1 = Classification(c.assign[:off], c.m)
     k2 = Classification(c.assign[off:], c.m)
-    return True, BisimWitness(c.m, k1, k2, _lumped(union, assign, c.m))
+    return True, BisimWitness(c.m, k1, k2, lumped(union, assign, c.m))

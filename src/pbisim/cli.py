@@ -380,6 +380,12 @@ def _at_least_one(text: str) -> int:
     return value
 
 
+def _output_file(path: str) -> str:
+    if path == "-":
+        raise argparse.ArgumentTypeError("expected a file name, got '-'; leave out -o for stdout")
+    return path
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="pbisim",
@@ -457,7 +463,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--actions", default="a", help="comma-separated labels")
     g.add_argument("--density", type=float, default=1.0)
     g.add_argument("--seed", type=int, required=True)
-    g.add_argument("-o", "--output", help="write the system here instead of stdout")
+    g.add_argument("-o", "--output", type=_output_file,
+                   help="write the system here instead of stdout")
     add_common(g)
     g.set_defaults(func=_cmd_gen)
 
@@ -470,8 +477,9 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--multiplicities", required=True,
                    help="comma-separated block sizes, one per quotient state")
     g.add_argument("--seed", type=int, required=True)
-    g.add_argument("-o", "--output")
-    g.add_argument("--sidecar", help="where to write the ground-truth classification")
+    g.add_argument("-o", "--output", type=_output_file)
+    g.add_argument("--sidecar", type=_output_file,
+                   help="where to write the ground-truth classification")
     add_common(g)
     g.set_defaults(func=_cmd_gen)
 
@@ -479,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("input")
     g.add_argument("--delta", type=float, required=True)
     g.add_argument("--seed", type=int, required=True)
-    g.add_argument("-o", "--output")
+    g.add_argument("-o", "--output", type=_output_file)
     add_common(g)
     g.set_defaults(func=_cmd_gen)
 

@@ -9,8 +9,8 @@ O(n + E) for n states and E transitions, and validation, union,
 lumpability and quotienting run in O(n + E) (plus sorting).  An empty row
 means the action is not enabled in that state (reactive-system
 convention: a transition is either a full distribution or absent).  No
-dense n x n matrix is kept: code that needs one for a small system
-(approximate bisimilarity) builds it from the table.  Every value here is
+dense n x n matrix is kept or built: lumping, quotients and approximate
+bisimilarity all read the table.  Every value here is
 immutable after construction and every operation is a pure function, so
 instances can be shared freely between threads.
 """

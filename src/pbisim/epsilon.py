@@ -19,19 +19,22 @@ the canonical refinements of its lumping hull (``lumping_hull``, a
 partition every lumping refines), keeps the lumpings, and the class
 relabelings of each admitted pair are searched by branch and bound,
 bounding a branch by the ``matrix_norm`` of the top-left block of the
-difference assigned so far.  It lumps through the paper's ``K+ M K`` on
-the stack of dense per-action matrices, built once per call from the edge
-tables: one ``lump`` and one ``matrix_norm`` call per family.
-``epsilon_distance``, the reference for both minimisers, lumps the same
-way.
+difference assigned so far.  Each classification is lumped once on the
+edge table (``matrices.lumped``) and only its m-state quotient is laid
+out as an (actions, m, m) stack for the relabelings.
 
 The seeded hill-climbing search (``epsilon_bisim_search``, run by
 ``pbisim.search``) gives upper bounds when even the a-priori space is too
-large.  It never builds a dense matrix: it moves states between classes
-on each system's edge table, checks a move's lumpability on the masses
-the move changed, and scores a pair from the sparse ``K+ M K`` of
-``bisim._lumped`` with ``matrices.table_norm``, in O(n + E) memory per
-side.
+large.  It moves states between classes on each system's edge table,
+checks a move's lumpability on the masses the move changed, and scores a
+pair with ``epsilon_distance``.
+
+``epsilon_distance`` scores the difference of the ``matrices.lumped``
+tables with ``matrices.table_norm`` in O(n + E) memory, summing as the
+dense ``matrix_norm`` does, so both minimisers' witnesses reproduce
+their epsilon through it bit for bit.  No path builds an n x n
+transition matrix: the exact scan, under its pair budget, lays out only
+the hull's masses into at most min(n1, n2) blocks and the quotients.
 """
 
 from __future__ import annotations
@@ -46,7 +49,8 @@ import numpy as np
 
 from .core import Classification, DEFAULT_TOL, LabelledPTS, union_actions
 from .errors import MAX_DIGITS, BudgetExceededError, ClassCountMismatchError, InvalidRangeError
-from .matrices import class_masses, classification_matrix, is_lumpable, lump, matrix_norm
+from .errors import DimensionMismatchError
+from .matrices import class_masses, is_lumpable, lumped, matrix_norm, sum_by_key, table_norm
 
 DEFAULT_PAIR_BUDGET = 10_000_000
 EPS = float(np.finfo(float).eps)
@@ -218,10 +222,6 @@ def _dense(pts: LabelledPTS, actions: tuple[str, ...]) -> np.ndarray:
     return mats
 
 
-def _lumped_family(mats: np.ndarray, c: Classification) -> np.ndarray:
-    return lump(mats, classification_matrix(c))
-
-
 def _family_distance(f1: np.ndarray, f2: np.ndarray, norm_kind: str) -> float:
     return float(matrix_norm(f1 - f2, norm_kind).max())
 
@@ -247,14 +247,33 @@ def epsilon_distance(
 
     The largest per-action norm over the union alphabet, which is the norm
     of the block-diagonal joint operator.  Actions absent from one system
-    lump to zero matrices on that side.
+    lump to zero matrices on that side.  Each action of each system is
+    lumped alone on its edge table, and the difference is a table in
+    ascending (row, column) order, scored by ``table_norm``: O(n + E)
+    memory for any class count, and bit for bit the float that
+    ``matrix_norm`` gives on the dense difference.
     """
     if k1.m != k2.m:
         raise ClassCountMismatchError(f"k1 has {k1.m} classes, k2 has {k2.m}")
-    actions = union_actions(p1, p2)
-    f1 = _lumped_family(_dense(p1, actions), k1)
-    f2 = _lumped_family(_dense(p2, actions), k2)
-    return _family_distance(f1, f2, norm_kind)
+    for p, c in ((p1, k1), (p2, k2)):
+        if c.n != p.n:
+            raise DimensionMismatchError(f"classification covers {c.n} states, system has {p.n}")
+    m = k1.m
+    worst = 0.0
+    for a in union_actions(p1, p2):
+        keys, values = [], []
+        for p, c, sign in ((p1, k1, 1.0), (p2, k2, -1.0)):
+            if a in p.actions:
+                i, n = p.actions.index(a), p.n
+                lo, hi = np.searchsorted(p.row, (i * n, i * n + n))
+                one = LabelledPTS.from_edges(n, (a,), p.row[lo:hi] - i * n, p.dst[lo:hi], p.prob[lo:hi])
+                q = lumped(one, np.asarray(c.assign), m)
+                keys.append(q.row * m + q.dst)
+                values.append(sign * q.prob)
+        # each entry on the left minus its counterpart on the right
+        key, diff = sum_by_key(np.concatenate(keys), np.concatenate(values))
+        worst = max(worst, table_norm(key, diff, m, norm_kind))
+    return worst
 
 
 def _beaten(bound: float, m: int, a1: tuple[int, ...], best) -> bool:
@@ -267,17 +286,16 @@ def _best_relabeling(f1, f2, a1, a2, norm_kind: str, best):
 
     Branch and bound: new class ``i`` takes old class ``inv[i]`` of ``f2``
     for ``i = 0, 1, ...``; the bound of a branch is the ``matrix_norm`` of
-    the top-left block of ``f1 - f2`` assigned so far, which never exceeds
-    the full norm, since the entries of ``|f1 - f2|`` only add to it.  The
-    bound is deflated by a relative margin above the summation rounding of
-    ``m * m`` terms, so it never exceeds the float that
-    ``_family_distance`` returns, and a branch is pruned only when its
-    candidates all lose in the order of ``(epsilon, m, k1, k2)``.  Leaves
-    are scored by ``_family_distance`` on the relabelled family, as the
-    full scan did, so epsilon is bit-identical.
+    the top-left block of ``f1 - f2`` assigned so far.  The block's terms
+    are some of each leaf's, in the same ascending order, and adding a
+    term ``>= 0`` never lowers a rounded sum, so the bound never exceeds
+    the float that ``_family_distance`` returns at any leaf below, and a
+    branch is pruned only when its candidates all lose in the order of
+    ``(epsilon, m, k1, k2)``.  Leaves are scored by ``_family_distance``
+    on the relabelled family, as the full scan did, so epsilon is
+    bit-identical.
     """
     m = f1.shape[1]
-    shrink = 1.0 - (2 * m * m + 8) * EPS
     inv: list[int] = []
 
     def leaf(order: list[int]) -> None:
@@ -304,7 +322,7 @@ def _best_relabeling(f1, f2, a1, a2, norm_kind: str, best):
         # the assigned blocks of all children at once, (actions, child, i+1, i+1)
         p = np.array([inv + [j] for j in free])
         blocks = f1[:, None, : i + 1, : i + 1] - f2[:, p[:, :, None], p[:, None, :]]
-        bounds = matrix_norm(blocks, norm_kind).max(axis=0) * shrink
+        bounds = matrix_norm(blocks, norm_kind).max(axis=0)
         for bound, j in sorted(zip(bounds.tolist(), free)):
             if _beaten(bound, m, a1, best):
                 break  # the rest have larger bounds
@@ -341,7 +359,6 @@ def epsilon_bisim_exact(
     if total > budget:
         raise BudgetExceededError(total, budget)
     actions = union_actions(p1, p2)
-    mats1, mats2 = _dense(p1, actions), _dense(p2, actions)
     mmax = min(p1.n, p2.n)
     hull1, hull2 = lumping_hull(p1, tol, mmax), lumping_hull(p2, tol, mmax)
     best = None
@@ -354,11 +371,11 @@ def epsilon_bisim_exact(
         k2s = [c for c in enumerate_classifications(p2.n, m, hull2) if is_lumpable(p2, c, tol)[0]]
         if not k2s:
             continue
-        fams2 = [(c, _lumped_family(mats2, c)) for c in k2s]
+        fams2 = [(c, _dense(lumped(p2, np.asarray(c.assign), m), actions)) for c in k2s]
         for c1 in k1s:
             if _beaten(0.0, m, c1.assign, best):
                 break
-            f1 = _lumped_family(mats1, c1)
+            f1 = _dense(lumped(p1, np.asarray(c1.assign), m), actions)
             for c2, f2 in fams2:
                 best = _best_relabeling(f1, f2, c1.assign, c2.assign, norm_kind, best)
     return _result(best, norm_kind, "exhaustive", True)
@@ -405,12 +422,10 @@ def epsilon_bisim_search(
     state on every action, with the masses summed from the edge table as
     they are read.  The check stops at the first violation and admits
     exactly what ``is_lumpable`` admits; a rejected move is undone from a
-    log.  Only a pair that passes is scored, from the sparse ``K+ M K`` of
-    ``bisim._lumped`` and the norms of ``matrices.table_norm``, in
-    O(E log E) time.  Memory: O(n + E) per side, whatever the class
-    count; no n x n or m x m matrix is built.  The epsilon reported may
-    differ by a few ulps from ``epsilon_distance`` on the witnesses, which
-    lumps dense matrices.
+    log.  Only a pair that passes is scored, by ``epsilon_distance``, in
+    O(E log E) time, so the witnesses reproduce the reported epsilon bit
+    for bit.  Memory: O(n + E) per side, whatever the class count; no
+    n x n or m x m matrix is built.
     """
     # the search's machinery is compiled only when a search runs, so the
     # exact scan's command does not load it

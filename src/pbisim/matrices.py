@@ -7,6 +7,10 @@ transpose, so no numerical factorisation is ever needed here.  Lumping a
 square matrix M through K gives the m x m matrix K+ M K whose (i, j) entry
 is the average, over the states of class i, of their total mass into class
 j (Kemeny-Snell style strong lumping).
+
+Every command lumps on the edge table (``lumped``); the dense forms
+(``classification_matrix``, ``pseudo_inverse``, ``lump``) are the
+reference.  ``matrix_norm`` and ``table_norm`` add in the same order.
 """
 
 from __future__ import annotations
@@ -153,6 +157,25 @@ def class_masses(
     return sum_by_key(key, pts.prob)
 
 
+def lumped(pts: LabelledPTS, assign: np.ndarray, m: int) -> LabelledPTS:
+    """``K+ M K`` on the edge table: ``pts`` lumped onto the ``m`` classes
+    of ``assign``, which need not be a lumping.
+
+    Entry (i, j) of each action is class i's mass into class j, summed
+    over the class's states in ascending order (each state's mass as
+    ``class_masses`` sums it), then divided by the class size, so dyadic
+    inputs give exact entries.  Relabelling the classes permutes the
+    entries and changes no bit of them.  O(E log E) time, O(n + E) memory.
+    """
+    sizes = np.bincount(assign, minlength=m)
+    key, mass = class_masses(pts, assign, m)
+    action, state = np.divmod(key // m, pts.n)
+    # one total per (action, source class, target class)
+    key, total = sum_by_key((action * m + assign[state]) * m + key % m, mass)
+    row = key // m
+    return LabelledPTS.from_edges(m, pts.actions, row, key % m, total / sizes[row % m])
+
+
 def is_lumpable(
     pts: LabelledPTS, c: Classification, tol: float = DEFAULT_TOL
 ) -> tuple[bool, LumpabilityViolation | None]:
@@ -217,17 +240,18 @@ def matrix_norm(m: np.ndarray, kind: str = "op-inf") -> float | np.ndarray:
 
     op-inf: operator norm induced by the max vector norm, i.e. the largest
     absolute row sum.  entry-max: largest absolute entry.  frobenius:
-    square root of the sum of squared entries.  A matrix gives a float; a
+    square root of the sum of squared entries.  Sums run in ascending
+    (row, column) order, one term at a time.  A matrix gives a float; a
     stack ``(..., n, m)`` gives the array of its matrices' norms, each
-    equal to the matrix's own when the stack is C-contiguous.
+    equal to the matrix's own.
     """
     m = np.asarray(m, dtype=float)
     if kind == "op-inf":
-        norm = np.abs(m).sum(axis=-1).max(axis=-1)
+        norm = np.abs(m).cumsum(axis=-1)[..., -1].max(axis=-1)
     elif kind == "entry-max":
         norm = np.abs(m).max(axis=(-2, -1))
     elif kind == "frobenius":
-        norm = np.sqrt((m * m).sum(axis=(-2, -1)))
+        norm = np.sqrt((m * m).reshape(*m.shape[:-2], -1).cumsum(axis=-1)[..., -1])
     else:
         raise ValueError(f"unknown norm kind {kind!r}; expected one of {NORM_KINDS}")
     return float(norm) if m.ndim == 2 else norm
@@ -236,15 +260,17 @@ def matrix_norm(m: np.ndarray, kind: str = "op-inf") -> float | np.ndarray:
 def table_norm(key: np.ndarray, value: np.ndarray, m: int, kind: str = "op-inf") -> float:
     """``matrix_norm`` of an m x m matrix given as a table.
 
-    ``value[e]`` is the entry at ``key[e] = row * m + column``, each key
-    at most once; every other entry is 0.  O(m) memory besides the table,
-    whatever the number of zeros.  Sums run in table order, so the norm
-    may differ from ``matrix_norm``'s of the dense matrix by a few ulps.
+    ``value[e]`` is the entry at ``key[e] = row * m + column``, keys
+    ascending and distinct; every other entry is 0.  Sums run in key
+    order, one term at a time, as ``matrix_norm``'s do, and adding an
+    exact zero never changes such a sum, so the norm equals the dense
+    matrix's bit for bit.  O(m) memory besides the table, whatever the
+    number of zeros.
     """
     if kind == "op-inf":
         return float(np.bincount(key // m, weights=np.abs(value), minlength=m).max())
     if kind == "entry-max":
         return float(np.abs(value).max(initial=0.0))
     if kind == "frobenius":
-        return math.sqrt(float(np.dot(value, value)))
+        return math.sqrt(float(np.cumsum(value * value)[-1])) if value.size else 0.0
     raise ValueError(f"unknown norm kind {kind!r}; expected one of {NORM_KINDS}")

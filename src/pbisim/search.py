@@ -2,8 +2,8 @@
 
 Each system's classification is kept as it is (``_Side``), so a move is
 applied in place, checked on the states it touched and undone from a
-log; admissible pairs are scored from the sparse ``K+ M K`` of
-``bisim._lumped``.  The module is loaded only when a search runs.
+log; admissible pairs are scored by ``epsilon.epsilon_distance``, on the
+edge tables.  The module is loaded only when a search runs.
 """
 
 from __future__ import annotations
@@ -12,10 +12,10 @@ import random
 
 import numpy as np
 
-from .bisim import _lumped, coarsest_bisimulation
-from .core import Classification, LabelledPTS, union_actions
-from .epsilon import _beaten
-from .matrices import is_lumpable, table_norm
+from .bisim import coarsest_bisimulation
+from .core import Classification, LabelledPTS
+from .epsilon import _beaten, epsilon_distance
+from .matrices import is_lumpable
 
 
 class _Side:
@@ -233,53 +233,11 @@ def _propose(
     return all(side.move(part, m) for side, part in zip(sides, parts))
 
 
-def _lumped_distance(
-    p1: LabelledPTS,
-    p2: LabelledPTS,
-    a1: np.ndarray,
-    a2: np.ndarray,
-    m: int,
-    actions: tuple[str, ...],
-    norm_kind: str,
-) -> float:
-    """``_family_distance`` of the two systems lumped through the
-    assignments ``a1`` and ``a2`` onto ``m`` classes, from the sparse
-    ``K+ M K`` of ``bisim._lumped``, one action of ``actions`` and one
-    system at a time: O(n + E) memory for any m."""
-    worst = 0.0
-    for a in actions:
-        keys, values = [], []
-        for p, assign in ((p1, a1), (p2, a2)):
-            if a in p.actions:
-                i, n = p.actions.index(a), p.n
-                lo, hi = np.searchsorted(p.row, (i * n, i * n + n))
-                one = LabelledPTS.from_edges(n, (a,), p.row[lo:hi] - i * n, p.dst[lo:hi], p.prob[lo:hi])
-                q = _lumped(one, assign, m)
-                keys.append(q.row * m + q.dst)
-                values.append(q.prob)
-            else:
-                keys.append(np.zeros(0, dtype=np.int64))
-                values.append(np.zeros(0))
-        # both tables ascend by key: subtract the right one's entries where
-        # the left has the key, and append the rest negated
-        (k1, k2), (v1, v2) = keys, values
-        at = np.searchsorted(k1, k2)
-        shared = at < k1.size
-        shared[shared] = k1[at[shared]] == k2[shared]
-        diff = v1.copy()
-        diff[at[shared]] -= v2[shared]
-        key = np.concatenate((k1, k2[~shared]))
-        diff = np.concatenate((diff, -v2[~shared]))
-        worst = max(worst, table_norm(key, diff, m, norm_kind))
-    return worst
-
-
 def search(
     p1: LabelledPTS, p2: LabelledPTS, norm_kind: str, budget: int, seed: int, tol: float
 ):
     """The best ``(epsilon, m, k1 assign, k2 assign)`` the search finds,
     or None; see ``epsilon.epsilon_bisim_search``."""
-    actions = union_actions(p1, p2)
     sides = (_Side(p1, tol), _Side(p2, tol))
     mmin = min(p1.n, p2.n)
     best = None
@@ -287,9 +245,9 @@ def search(
     def score() -> float:
         nonlocal best
         m = len(sides[0].members)
-        a1, a2 = (np.array(side.assign) for side in sides)
-        d = _lumped_distance(p1, p2, a1, a2, m, actions, norm_kind)
-        cand = (d, m, tuple(sides[0].assign), tuple(sides[1].assign))
+        a1, a2 = (tuple(side.assign) for side in sides)
+        d = epsilon_distance(p1, p2, Classification(a1, m), Classification(a2, m), norm_kind)
+        cand = (d, m, a1, a2)
         best = cand if best is None else min(best, cand)
         return d
 

@@ -439,6 +439,27 @@ def test_standard_input_is_named_at_most_once(argv):
     assert "standard input can be read only once" in res.stderr
 
 
+PLANTED = ["gen", "planted", "--quotient-states", "2", "--multiplicities", "1,2", "--seed", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "random", "--states", "2", "--seed", "1", "-o", "-"],
+    PLANTED + ["-o", "-"],
+    PLANTED + ["-o", "lift.pts", "--sidecar", "-"],
+    PLANTED + ["--sidecar", "-"],
+    ["gen", "perturb", "base.pts", "--delta", "0.1", "--seed", "1", "-o", "-"],
+])
+def test_gen_refuses_dash_as_an_output_file(tmp_path, argv):
+    (tmp_path / "base.pts").write_text("states: s0\nactions: a\ns0 a s0 1\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    res = subprocess.run([sys.executable, "-m", "pbisim", *argv], cwd=tmp_path, env=env,
+                         capture_output=True, text=True)
+    assert res.returncode == 2, res.stderr
+    assert "expected a file name, got '-'" in res.stderr
+    assert res.stdout == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["base.pts"]
+
+
 def test_pair_cap_must_be_positive(one_state):
     res = run_cli("epsilon", one_state, one_state, "--pair-cap", "0")
     assert res.returncode == 2

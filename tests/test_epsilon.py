@@ -189,8 +189,7 @@ def test_exact_witness_reproduces_epsilon():
         lift, q, _ = planted_pair(i)
         pert = perturb(lift, 0.02, 17 + i)
         res = epsilon_bisim_exact(lift, pert)
-        again = epsilon_distance(lift, pert, res.k1, res.k2, res.norm_kind)
-        assert abs(again - res.epsilon) <= 1e-12
+        assert epsilon_distance(lift, pert, res.k1, res.k2, res.norm_kind) == res.epsilon
 
 
 def test_exact_symmetric():
@@ -403,36 +402,54 @@ def test_search_witness_reproduces_epsilon():
     p2 = perturb(p1, 0.03, 11)
     res = epsilon_bisim_search(p1, p2, budget=200, seed=7)
     assert res.epsilon != math.inf
-    again = epsilon_distance(p1, p2, res.k1, res.k2, res.norm_kind)
-    assert abs(again - res.epsilon) <= 1e-12
+    assert epsilon_distance(p1, p2, res.k1, res.k2, res.norm_kind) == res.epsilon
 
 
-@pytest.mark.parametrize("norm", [k for k in NORM_KINDS if k != "op-inf"])
+@pytest.mark.parametrize("norm", NORM_KINDS)
 def test_search_witness_reproduces_epsilon_under_each_norm(norm):
+    from test_parity import EPSILON_PAIRS
+
     p1, _, _ = planted_pair(5)
     p2 = perturb(p1, 0.03, 11)
     res = epsilon_bisim_search(p1, p2, norm_kind=norm, budget=200, seed=7)
     assert res.epsilon != math.inf and res.norm_kind == norm
-    again = epsilon_distance(p1, p2, res.k1, res.k2, norm)
-    assert abs(again - res.epsilon) <= 1e-12
+    assert epsilon_distance(p1, p2, res.k1, res.k2, norm) == res.epsilon
+    # non-dyadic masses, whose sums taken in two orders differ in the last bits
+    found = 0
+    for p1, p2 in EPSILON_PAIRS:
+        res = epsilon_bisim_search(p1, p2, norm_kind=norm, budget=60, seed=1)
+        if res.k1 is not None:
+            found += 1
+            assert epsilon_distance(p1, p2, res.k1, res.k2, norm) == res.epsilon, (p1, p2)
+    assert found >= 200
 
 
 def test_search_lumps_on_the_edge_table(monkeypatch):
     def refuse(*args):
-        raise AssertionError("the search built a dense matrix")
+        raise AssertionError("a dense n x n matrix was built")
 
-    for module in (epsilon, matrices):
-        for name in ("_dense", "lump", "classification_matrix"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, refuse)
+    def refuse_all(names):
+        for module in (epsilon, matrices):
+            for name in names:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+
+    refuse_all(("_dense", "lump", "classification_matrix"))
     lift, q, _ = planted_pair(5)
     res = epsilon_bisim_search(lift, q, budget=300, seed=5)
     assert res.epsilon < 1e-9
     pert = perturb(lift, 0.02, 6)
     res = epsilon_bisim_search(lift, pert, budget=300, seed=5)
     assert 0 < res.epsilon < math.inf
+    assert epsilon_distance(lift, pert, res.k1, res.k2) == res.epsilon
     monkeypatch.undo()
-    assert epsilon_distance(lift, pert, res.k1, res.k2) == pytest.approx(res.epsilon, abs=1e-12)
+    # the exact scan lays out only the m-state quotients as dense stacks
+    refuse_all(("lump", "classification_matrix"))
+    p1 = gen_random_pts(5, ["a", "b"], 0.7, 71)
+    p2 = perturb(p1, 0.02, 81)
+    res = epsilon_bisim_exact(p1, p2)
+    assert 0 < res.epsilon < math.inf
+    assert epsilon_distance(p1, p2, res.k1, res.k2) == res.epsilon
 
 
 def _canonical(assign) -> Classification:

@@ -3,10 +3,10 @@
 A 50,000-state system held as dense matrices needs 20 GB per action.  The
 commands below run as child processes whose address space is capped at
 1 GiB (importing numpy and pbisim alone maps about 150 MB), so a dense
-allocation anywhere on the bisim, quotient, epsilon search or generator
-path fails with MemoryError.  On the simulation side, a largest
-simulation of millions of pairs must stay an array rather than Python
-tuples.
+allocation anywhere on the bisim, quotient, epsilon search,
+``epsilon_distance`` or generator path fails with MemoryError.  On the
+simulation side, a largest simulation of millions of pairs must stay an
+array rather than Python tuples.
 """
 
 import json
@@ -99,6 +99,26 @@ def test_epsilon_search_on_50k_states_runs_in_one_gib(wide):
     result = json.loads(res.stdout)["result"]
     assert result["method"] == "local-search"
     assert result["epsilon"] == 0.0 and 1 < result["classes"] <= 40
+
+
+DISTANCE = """
+import sys
+from pbisim import coarsest_bisimulation, epsilon_distance
+from pbisim.formats import parse_pts
+pts, _ = parse_pts(open(sys.argv[1]).read())
+c = coarsest_bisimulation(pts)
+print(c.m, epsilon_distance(pts, pts, c, c))
+"""
+
+
+def test_epsilon_distance_on_50k_states_runs_in_one_gib(wide):
+    # both systems are lumped on their edge tables; one dense matrix per
+    # action and side needs 37 GiB
+    res = subprocess.run([sys.executable, "-c", DISTANCE, str(wide)], capture_output=True,
+                         text=True, preexec_fn=limit_address_space)
+    assert res.returncode == 0, res.stderr[-2000:]
+    classes, distance = res.stdout.split()
+    assert 1 < int(classes) <= 40 and float(distance) == 0.0
 
 
 def test_generators_on_50k_states_run_in_one_gib(wide, tmp_path):
