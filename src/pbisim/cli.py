@@ -74,6 +74,16 @@ def _load(path: str, parse, *args):
     return parse(_decode(data), *args), input_entry(path, data)
 
 
+def _load_systems(args):
+    """The two systems of ``bisim`` or ``epsilon``, each with its report
+    entry; a file named twice is read and parsed once, and the read-only
+    system serves both sides."""
+    first = _load(args.system1, parse_pts, args.tol)
+    if args.system2 == args.system1 != "-":
+        return first, first
+    return first, _load(args.system2, parse_pts, args.tol)
+
+
 def _assign_by_name(names, classification):
     return {names[s]: classification.assign[s] for s in range(len(names))}
 
@@ -81,8 +91,7 @@ def _assign_by_name(names, classification):
 def _cmd_bisim(args):
     from .bisim import are_bisimilar
 
-    (p1, names1), in1 = _load(args.system1, parse_pts, args.tol)
-    (p2, names2), in2 = _load(args.system2, parse_pts, args.tol)
+    ((p1, names1), in1), ((p2, names2), in2) = _load_systems(args)
     ok, witness = are_bisimilar(p1, p2, args.tol)
     params = {"tol": args.tol}
     if ok:
@@ -138,8 +147,7 @@ def _cmd_quotient(args):
 def _cmd_epsilon(args):
     from .epsilon import epsilon_bisim_exact, epsilon_bisim_search, pair_space
 
-    (p1, _), in1 = _load(args.system1, parse_pts, args.tol)
-    (p2, _), in2 = _load(args.system2, parse_pts, args.tol)
+    ((p1, _), in1), ((p2, _), in2) = _load_systems(args)
     if args.budget is not None:
         res = epsilon_bisim_search(
             p1, p2, norm_kind=args.norm, budget=args.budget, seed=args.seed, tol=args.tol

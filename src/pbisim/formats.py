@@ -29,6 +29,9 @@ Printing followed by parsing reproduces the same in-memory value.
 
 from __future__ import annotations
 
+import re
+import warnings
+from itertools import islice
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -47,128 +50,125 @@ def _lines(text: str):
             yield lineno, line
 
 
-def _prob(token: str) -> float | None:
-    """Value of a probability token, ``None`` if it is malformed."""
-    try:
-        if "/" in token:
-            num, den = token.split("/", 1)
-            return float(num) / float(den)
-        return float(token)
-    except (ValueError, ZeroDivisionError):
+_CHUNK = 1 << 20  # characters of transition lines per piece
+# a line and its end, as str.splitlines splits them
+_LINE = re.compile("([^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*)(?:\r\n|.)?", re.DOTALL)
+# what sends a piece to the line reader: str.split also splits ASCII text
+# on \x1f, numpy's reader cuts a trailing \x00 off, and a header keyword
+_UNSAFE = ("\x00", "\x1f", "states:", "actions:")
+
+
+def _read_lines(lines: list[str], lineno: int, index: dict, act_index: dict):
+    """Keys, probabilities and first error of lines after both headers."""
+    keys, probs, n, error = [], [], len(index), None
+    for lineno, raw in enumerate(lines, lineno):
+        parts = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+        if not parts:
+            continue
+        if parts[0].startswith(("states:", "actions:")):
+            error = ParseError(f"duplicate {parts[0].split(':')[0]}: line", lineno)
+        elif len(parts) != 4:
+            error = ParseError(f"expected 'src action dst prob', got {len(parts)} tokens", lineno)
+        elif unknown := next((t for t, d in zip(parts, (index, act_index, index)) if t not in d), None):
+            error = UnknownNameError(unknown, lineno)
+        else:
+            keys.append((act_index[parts[1]] * n + index[parts[0]]) * n + index[parts[2]])
+            num, slash, den = parts[3].partition("/")
+            try:
+                probs.append(float(num) / float(den) if slash else float(num))
+            except (ValueError, ZeroDivisionError):  # kept: a repeat of an earlier line wins
+                probs.append(0.0)
+                error = ParseError(f"bad probability {parts[3]!r}", lineno)
+        if error is not None:
+            break
+    return np.array(keys, dtype=np.int64), np.array(probs), error
+
+
+def _convert(piece: str, lines: list[str], dtype: list, tables: list, n: int):
+    """What ``_read_lines`` returns, by np.loadtxt; None where it must decide."""
+    if not piece.isascii() or any(text in piece for text in _UNSAFE):
         return None
-
-
-def _probs(tokens: list[str]) -> tuple[list[float], list[int]]:
-    """Values of the probability tokens, and the positions of malformed ones."""
     try:
-        return list(map(float, tokens)), []
-    except ValueError:
-        values = [_prob(t) for t in tokens]
-    bad = [i for i, v in enumerate(values) if v is None]
-    return [0.0 if v is None else v for v in values], bad
-
-
-def _lookup(table: dict[str, int], names: list[str]) -> np.ndarray:
-    """Index of every name, -1 for unknown ones."""
-    try:
-        return np.fromiter(map(table.__getitem__, names), np.int64, len(names))
-    except KeyError:
-        return np.array([table.get(t, -1) for t in names], dtype=np.int64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # on a piece of comments only
+            rows = np.loadtxt(lines, dtype=dtype, comments="#", ndmin=1)
+        src, act, dst = (
+            np.fromiter(map(table.__getitem__, rows[col].tolist()), np.int64, len(rows))
+            for col, table in zip("sat", (tables[0], tables[1], tables[0]))
+        )
+    except (ValueError, KeyError):
+        return None
+    return (act * n + src) * n + dst, rows["p"].copy(), None
 
 
 def parse_pts(text: str, tol: float = DEFAULT_TOL) -> tuple[LabelledPTS, tuple[str, ...]]:
     """Parse a system file; returns the system and its state-name table.
 
-    Transition lines are collected as tokens and checked in bulk; the error
-    reported is the one on the earliest line, so the diagnostics are those
-    of a line-at-a-time reading.  Runs the reactive-system validation
-    after building the edge arrays, so a syntactically fine file with bad
-    row sums is still rejected.
+    Lines up to both headers are read one at a time; the transition block
+    after them is converted by numpy's C reader a megabyte at a time.  A
+    piece goes to a plain line-at-a-time reader when that reader could
+    read it otherwise, or when it holds a fraction, a malformed line or an
+    undeclared name; that reader gives every diagnostic, and the earliest
+    line's error wins.  The edge arrays are validated as a reactive system.
     """
     from .core import LabelledPTS, validate_pts
 
     names: list[str] | None = None
     actions: list[str] | None = None
-    index: dict[str, int] = {}
-    act_index: dict[str, int] = {}
-    # the transition lines' tokens, four each, in one list: a list per line
-    # kept alive would make the cyclic garbage collector rescan them all
-    tokens: list[str] = []
-    linenos: list[int] = []
-    error: ParseError | None = None  # on a line after every collected one
-    ready = False  # both header lines seen
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        parts = (raw.split("#", 1)[0] if "#" in raw else raw).split()
-        if not parts:
-            continue
-        if len(parts) == 4 and ready and not parts[0].startswith(("states:", "actions:")):
-            tokens += parts
-            linenos.append(lineno)
-        elif parts[0].startswith("states:"):
+    pos = lineno = 0
+    while (names is None or actions is None) and pos < len(text):
+        match = _LINE.match(text, pos)
+        line, pos, lineno = match[1].split("#", 1)[0].strip(), match.end(), lineno + 1
+        if line.startswith("states:"):
             if names is not None:
-                error = ParseError("duplicate states: line", lineno)
-                break
-            names = raw.split("#", 1)[0].strip()[len("states:") :].split()
+                raise ParseError("duplicate states: line", lineno)
+            names = line[len("states:") :].split()
             if not names:
-                error = ParseError("states: line declares no states", lineno)
-                break
+                raise ParseError("states: line declares no states", lineno)
             if len(set(names)) != len(names):
-                error = ParseError("duplicate state name", lineno)
-                break
-            index = {s: i for i, s in enumerate(names)}
-            ready = actions is not None
-        elif parts[0].startswith("actions:"):
+                raise ParseError("duplicate state name", lineno)
+        elif line.startswith("actions:"):
             if actions is not None:
-                error = ParseError("duplicate actions: line", lineno)
-                break
-            actions = raw.split("#", 1)[0].strip()[len("actions:") :].split()
+                raise ParseError("duplicate actions: line", lineno)
+            actions = line[len("actions:") :].split()
             if len(set(actions)) != len(actions):
-                error = ParseError("duplicate action label", lineno)
-                break
-            act_index = {a: i for i, a in enumerate(actions)}
-            ready = names is not None
-        else:
-            if len(parts) != 4:
-                error = ParseError(
-                    f"expected 'src action dst prob', got {len(parts)} tokens", lineno
-                )
-            elif names is None or parts[0] not in index:
-                error = UnknownNameError(parts[0], lineno)
-            else:
-                error = UnknownNameError(parts[1], lineno)
-            break
+                raise ParseError("duplicate action label", lineno)
+        elif line:
+            raise _read_lines([line], lineno, dict.fromkeys(names or ()), {})[2]
+    if names is None or actions is None:
+        raise ParseError(f"missing {'states' if names is None else 'actions'}: line", 1)
 
-    n = len(names) if names is not None else 0
-    count = len(linenos)
-    src = _lookup(index, tokens[0::4])
-    act = _lookup(act_index, tokens[1::4])
-    dst = _lookup(index, tokens[2::4])
-    probs, bad_prob = _probs(tokens[3::4])
-    known = (src >= 0) & (act >= 0) & (dst >= 0)
-    # one sort over (action, source, target) finds repeats and orders the edges
-    key = np.where(known, (act * n + src) * n + dst, -1 - np.arange(count))
+    n, start = len(names), lineno
+    index, act_index = {s: i for i, s in enumerate(names)}, {a: i for i, a in enumerate(actions)}
+    # wider than every name, so that a cut-off token matches none
+    width, a_width = max(map(len, names)) + 1, max(map(len, actions), default=0) + 1
+    dtype = [("s", f"S{width}"), ("a", f"S{a_width}"), ("t", f"S{width}"), ("p", "f8")]
+    # a name with a lone surrogate still encodes; only ASCII ones can match
+    tables = [dict(zip("\n".join(t).encode("utf-8", "surrogatepass").split(b"\n"), range(len(t))))
+              for t in (names, actions)]
+    blocks, error = [(np.empty(0, dtype=np.int64), np.empty(0), None)], None
+    while pos < len(text) and error is None:
+        # a piece ends after a newline, so it splits into whole lines
+        end = text.find("\n", pos + _CHUNK) + 1 or len(text)
+        piece, pos = text[pos:end], end
+        lines = piece.splitlines()
+        blocks.append(_convert(piece, lines, dtype, tables, n)
+                      or _read_lines(lines, lineno + 1, index, act_index))
+        lineno, error = lineno + len(lines), blocks[-1][2]
+
+    keys, probs, _ = zip(*blocks)
+    key, prob = np.concatenate(keys), np.concatenate(probs)
     order = np.argsort(key, kind="stable")
     repeat = order[1:][key[order[1:]] == key[order[:-1]]]
-    unknown = np.flatnonzero(~known)[:1].tolist()
-    first_bad = min([count] + bad_prob[:1] + unknown + repeat.tolist())
-    if first_bad < count:
-        r, lineno = tokens[4 * first_bad : 4 * first_bad + 4], linenos[first_bad]
-        for col, table in ((0, index), (1, act_index), (2, index)):
-            if r[col] not in table:
-                raise UnknownNameError(r[col], lineno)
-        if (repeat == first_bad).any():
-            raise ParseError(f"duplicate transition {r[0]} {r[1]} {r[2]}", lineno)
-        raise ParseError(f"bad probability {r[3]!r}", lineno)
+    if repeat.size:
+        # every line after the headers, up to the error, is a transition
+        after = ((i, line) for i, line in _lines(text) if i > start)
+        lineno, line = next(islice(after, int(repeat.min()), None))
+        raise ParseError("duplicate transition " + " ".join(line.split()[:3]), lineno)
     if error is not None:
         raise error
-    if names is None:
-        raise ParseError("missing states: line", 1)
-    if actions is None:
-        raise ParseError("missing actions: line", 1)
-
     row, dst = np.divmod(key[order], n)
-    pts = LabelledPTS.from_edges(n, actions, row, dst, np.array(probs, dtype=float)[order])
+    pts = LabelledPTS.from_edges(n, actions, row, dst, prob[order])
     validate_pts(pts, tol)
     return pts, tuple(names)
 

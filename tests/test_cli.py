@@ -487,6 +487,32 @@ def test_unexpected_exception_exits_four(one_state, monkeypatch, capsys, exc):
     assert "Traceback (most recent call last)" in err
 
 
+@pytest.mark.parametrize("command", [["bisim"], ["epsilon"], ["epsilon", "--budget", "5"]])
+def test_a_file_named_twice_is_parsed_once(planted_files, monkeypatch, capsys, command):
+    parsed = []
+
+    def counting_parse(*args):
+        parsed.append(args)
+        return parse_pts(*args)
+
+    monkeypatch.setattr(cli, "parse_pts", counting_parse)
+    lift = planted_files["lift"]
+    copy = write(planted_files["tmp"], "copy.pts", open(lift).read())
+    runs = []
+    for second in (lift, copy):
+        parsed.clear()
+        code = cli.main([command[0], lift, second, *command[1:], "--json"])
+        runs.append((code, len(parsed), json.loads(capsys.readouterr().out)))
+    (code, count, same), (copy_code, copy_count, copied) = runs
+    assert (count, copy_count) == (1, 2)
+    # both input entries stay in the report, as they were when parsed twice
+    assert [json.dumps(e, sort_keys=True) for e in same["inputs"]] == [
+        json.dumps({"path": lift, "sha256": copied["inputs"][0]["sha256"]}, sort_keys=True)
+    ] * 2
+    assert code == copy_code and same["result"] == copied["result"]
+    assert same["params"] == copied["params"]
+
+
 @pytest.mark.parametrize("seed", [3, 8, 21])
 def test_coarsest_quotient_is_idempotent(tmp_path, seed):
     lift = run_cli(

@@ -121,6 +121,28 @@ def test_epsilon_distance_on_50k_states_runs_in_one_gib(wide):
     assert 1 < int(classes) <= 40 and float(distance) == 0.0
 
 
+PARSE = """
+import resource, sys
+from pbisim.formats import parse_pts
+with open(sys.argv[1]) as fh:
+    pts, names = parse_pts(fh.read())
+print(pts.row.size, len(names), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_parsing_100k_states_peaks_under_250_mb(tmp_path):
+    # the 24 MB text is converted a piece at a time, so no token outlives
+    # its piece as a Python string; holding every token until the arrays
+    # were built peaked at 326 MB
+    path = tmp_path / "w.pts"
+    path.write_text(planted_text(40, 2500, 3))
+    res = subprocess.run([sys.executable, "-c", PARSE, str(path)], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr[-2000:]
+    edges, states, peak_kib = map(int, res.stdout.split())
+    assert states == 100_000 and edges > 600_000
+    assert peak_kib / 1024 <= 250
+
+
 def test_generators_on_50k_states_run_in_one_gib(wide, tmp_path):
     base, _ = parse_pts(wide.read_text())
     out = tmp_path / "out.pts"

@@ -39,6 +39,7 @@ from pbisim import (
 from pbisim.core import DEFAULT_TOL
 from pbisim.epsilon import EPS
 from pbisim.errors import NotLumpableError, PbisimError, RowSumError
+from pbisim import formats
 from pbisim.formats import parse_pts, print_pts
 from pbisim.matrices import NORM_KINDS, class_masses, classification_matrix, lump
 
@@ -316,6 +317,143 @@ def test_malformed_files_fail_as_the_dense_parser_does(tol):
         assert outcome(parse_pts, text, tol) == expected, text
         failures += expected is not None
     assert failures >= 30
+
+
+# Text that a line-at-a-time reader reads alike: the first entry of each
+# list is plain, the others send a piece of text to the line reader or
+# split lines where numpy's reader would not.
+SEPARATORS = [" ", "\t", "   ", " \t ", "\x1f", "\xa0", "\u3000"]
+LINE_ENDS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028"]
+FILLERS = ["", "   ", "\t", "# a comment", "  # states: s9 \u00e9"]
+COMMENTS = ["", " # ok", "#", "\t# actions: x", " # \u00e9"]
+NAME_SETS = [
+    [f"s{i}" for i in range(6)],
+    ["\u00e9", "\u00fc1", "\u03a3", "q_1", "z\x00", "s5"],
+    ["states:x", "s1", "actions:", "s3", "s4", "s5"],
+]
+ACTION_SETS = [["a"], ["a", "b"], ["b", "\u00e7"], ["states:", "x:y"]]
+# malformed transition lines over a state s and an action a
+MALFORMED_LINES = [
+    "nobody {a} {s} 1", "{s} nothing {s} 1", "{s} {a} nobody 1", "{s} {a}", "{s} {a} {s} 1 1",
+    "{s} {a} {s} x", "{s} {a} {s} 1/0", "{s} {a} {s} 0x1", "states: z", "actions: b",
+    "states:x {a} {s} 1", "{s}x {a} {s} 1", "{s}\x00 {a} {s} 1",
+]
+
+
+def odd(rng, choices):
+    """The plain first choice four times in five, else a random one."""
+    return choices[0] if rng.random() < 0.8 else rng.choice(choices)
+
+
+def probability_token(p: float, rng) -> str:
+    """A token that the line reader reads as the dyadic ``p``."""
+    forms = [repr(p), f"{round(p * 1024)}/1024", "+" + repr(p), repr(p).replace("0.", ".", 1)]
+    digits = repr(p)
+    cut = next((i for i in range(1, len(digits)) if (digits[i - 1] + digits[i]).isdigit()), None)
+    if cut is not None:
+        forms.append(digits[:cut] + "_" + digits[cut:])
+    if p == 1.0:
+        forms += ["1_0e-1", "\u0661"]
+    return odd(rng, forms)
+
+
+def unusual_text(rng, bad_line: bool) -> str:
+    """A random system printed with separators, line ends, comments, blank
+    lines, header orders and probability tokens drawn from ``rng``; with
+    ``bad_line``, one transition line (or a line after it) is malformed."""
+    n = rng.randint(1, 5)
+    names = rng.sample(odd(rng, NAME_SETS), n)
+    actions = odd(rng, ACTION_SETS)
+    pts = gen_random_pts(n, actions, rng.choice([0.5, 1.0]), rng.randrange(10**6))
+    action, source = np.divmod(pts.row, n)
+    rows = [[names[s], actions[a], names[t], probability_token(p, rng)]
+            for s, a, t, p in zip(source.tolist(), action.tolist(), pts.dst.tolist(), pts.prob.tolist())]
+    rng.shuffle(rows)
+    if bad_line and rows:
+        at = rng.randrange(len(rows))
+        bad = rng.choice(MALFORMED_LINES + [" ".join(rows[0])])
+        rows.insert(at + rng.randrange(2), bad.format(s=names[0], a=actions[0]).split())
+    headers = [["states:", *names], ["actions:", *actions]]
+    rng.shuffle(headers)
+    lines = [odd(rng, FILLERS) for _ in range(rng.randrange(3))]
+    for words in headers + rows:
+        line = odd(rng, SEPARATORS).join(words) + odd(rng, COMMENTS)
+        lines.append(odd(rng, ["", " ", "\t"]) + line)
+        lines += [odd(rng, FILLERS) for _ in range(rng.random() < 0.2)]
+    return "".join(line + odd(rng, LINE_ENDS) for line in lines)
+
+
+def assert_parses_as_the_line_reader_does(text):
+    expected = outcome(naive_parse_pts, text, DEFAULT_TOL)
+    assert outcome(parse_pts, text, DEFAULT_TOL) == expected, repr(text)
+    if expected is None:
+        (fast, names), (slow, slow_names) = parse_pts(text), naive_parse_pts(text)
+        assert fast == slow and names == slow_names
+        assert all(map(np.array_equal, (fast.row, fast.dst, fast.prob), (slow.row, slow.dst, slow.prob)))
+    return expected
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 64])
+def test_parse_matches_the_line_reader_on_unusual_text(chunk, monkeypatch):
+    # a small piece size puts piece boundaries between most lines
+    if chunk is not None:
+        monkeypatch.setattr(formats, "_CHUNK", chunk)
+    rng = random.Random(18)
+    results = [assert_parses_as_the_line_reader_does(unusual_text(rng, i % 2 == 1)) for i in range(400)]
+    failures = [r for r in results if r is not None]
+    assert 100 <= len(failures) <= 300
+    assert len({r[1].split(":")[1][:12] for r in failures}) >= 6
+
+
+def long_text(padding: int) -> list[str]:
+    """Lines of a valid 64-state system, every transition line padded with
+    a comment to about ``padding`` characters."""
+    names = [f"state{i:02d}" for i in range(64)]
+    lines = ["# two actions, 32 targets per row", "states: " + " ".join(names), "actions: a b"]
+    for s in range(64):
+        for a in "ab":
+            for t in range(s % 2, 64, 2):
+                line = f"{names[s]} {a} {names[t]} 0.03125"
+                lines.append(line + " # " + "-" * (padding - len(line)))
+    return lines
+
+
+def test_malformed_lines_in_a_later_piece_fail_as_the_line_reader_does():
+    lines = long_text(300)
+    text = "\n".join(lines) + "\n"
+    assert len(text) > formats._CHUNK
+    assert assert_parses_as_the_line_reader_does(text) is None
+    # every line from 3,600 on lies in the second piece
+    assert len("\n".join(lines[:3600])) > formats._CHUNK
+    rng = random.Random(7)
+    edits = [(at, bad.format(s="state00", a="a")) for bad in MALFORMED_LINES for at in (3600, 4000)]
+    edits += [(3700, lines[5].split("#")[0]), (3700, "state00 a state00 1/32"),
+              (3800, "state00 a state00 0.03125 # \u00e9"), (3800, "")]
+    failures = 0
+    for at, bad in edits:
+        edited = lines[:at] + [bad] + lines[at + 1 :]
+        eol = rng.choice(["\n", "\r\n"])
+        failures += assert_parses_as_the_line_reader_does(eol.join(edited) + eol) is not None
+    assert failures >= len(MALFORMED_LINES) * 2
+
+
+def test_only_pieces_that_need_it_go_to_the_line_reader(monkeypatch):
+    read = []
+
+    def spy(lines, lineno, *tables):
+        read.append(lineno)
+        return line_reader(lines, lineno, *tables)
+
+    line_reader = formats._read_lines
+    monkeypatch.setattr(formats, "_read_lines", spy)
+    lines = long_text(300)
+    parse_pts("\n".join(lines) + "\n")
+    assert read == []
+    lines[3700] = lines[3700].replace("0.03125", "1/32")
+    lines[3701] = lines[3701] + " \u00e9"
+    parse_pts("\n".join(lines) + "\n")
+    # the second piece, which starts before line 3,600, alone
+    assert len(read) == 1 and read[0] < 3600
 
 
 def assert_same_system(new, old):
