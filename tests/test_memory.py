@@ -122,18 +122,21 @@ def test_epsilon_distance_on_50k_states_runs_in_one_gib(wide):
 
 
 PARSE = """
-import resource, sys
+import sys
 from pbisim.formats import parse_pts
 with open(sys.argv[1]) as fh:
     pts, names = parse_pts(fh.read())
-print(pts.row.size, len(names), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+with open("/proc/self/status") as fh:
+    peak = next(line.split()[1] for line in fh if line.startswith("VmHWM:"))
+print(pts.row.size, len(names), peak)
 """
 
 
 def test_parsing_100k_states_peaks_under_250_mb(tmp_path):
     # the 24 MB text is converted a piece at a time, so no token outlives
     # its piece as a Python string; holding every token until the arrays
-    # were built peaked at 326 MB
+    # were built peaked at 326 MB.  The child's own peak is VmHWM: its
+    # ru_maxrss starts at the resident set of the forking test process.
     path = tmp_path / "w.pts"
     path.write_text(planted_text(40, 2500, 3))
     res = subprocess.run([sys.executable, "-c", PARSE, str(path)], capture_output=True, text=True)
