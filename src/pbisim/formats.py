@@ -32,6 +32,7 @@ from __future__ import annotations
 import re
 import warnings
 from itertools import islice
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -53,9 +54,6 @@ def _lines(text: str):
 _CHUNK = 1 << 20  # characters of transition lines per piece
 # a line and its end, as str.splitlines splits them
 _LINE = re.compile("([^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*)(?:\r\n|.)?", re.DOTALL)
-# what sends a piece to the line reader: str.split also splits ASCII text
-# on \x1f, numpy's reader cuts a trailing \x00 off, and a header keyword
-_UNSAFE = ("\x00", "\x1f", "states:", "actions:")
 
 
 def _read_lines(lines: list[str], lineno: int, index: dict, act_index: dict):
@@ -86,17 +84,21 @@ def _read_lines(lines: list[str], lineno: int, index: dict, act_index: dict):
 
 def _convert(piece: str, lines: list[str], dtype: list, tables: list, n: int):
     """What ``_read_lines`` returns, by np.loadtxt; None where it must decide."""
-    if not piece.isascii() or any(text in piece for text in _UNSAFE):
+    # str.split also splits ASCII text on \x1f, numpy's reader cuts a trailing
+    # \x00 off, and a line may hold a header keyword (a search for ':' is fast)
+    if not piece.isascii() or "\x00" in piece or "\x1f" in piece or (
+            ":" in piece and ("states:" in piece or "actions:" in piece)):
         return None
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # on a piece of comments only
             rows = np.loadtxt(lines, dtype=dtype, comments="#", ndmin=1)
+        # itemgetter returns a tuple for two keys or more, else a TypeError follows
         src, act, dst = (
-            np.fromiter(map(table.__getitem__, rows[col].tolist()), np.int64, len(rows))
+            np.fromiter(itemgetter(*rows[col].tolist())(table), np.int64, len(rows))
             for col, table in zip("sat", (tables[0], tables[1], tables[0]))
         )
-    except (ValueError, KeyError):
+    except (ValueError, KeyError, TypeError):
         return None
     return (act * n + src) * n + dst, rows["p"].copy(), None
 
@@ -104,11 +106,10 @@ def _convert(piece: str, lines: list[str], dtype: list, tables: list, n: int):
 def parse_pts(text: str, tol: float = DEFAULT_TOL) -> tuple[LabelledPTS, tuple[str, ...]]:
     """Parse a system file; returns the system and its state-name table.
 
-    Lines up to both headers are read one at a time; the transition block
-    after them is converted by numpy's C reader a megabyte at a time.  A
-    piece goes to a plain line-at-a-time reader when that reader could
-    read it otherwise, or when it holds a fraction, a malformed line or an
-    undeclared name; that reader gives every diagnostic, and the earliest
+    Lines up to both headers are read one at a time, the transition block
+    after them by numpy's C reader a megabyte at a time.  A piece that
+    reader cannot take alike, or one with a malformed line or an undeclared
+    name, is read line by line, which gives every diagnostic; the earliest
     line's error wins.  The edge arrays are validated as a reactive system.
     """
     from .core import LabelledPTS, validate_pts
@@ -141,25 +142,24 @@ def parse_pts(text: str, tol: float = DEFAULT_TOL) -> tuple[LabelledPTS, tuple[s
     n, start = len(names), lineno
     index, act_index = {s: i for i, s in enumerate(names)}, {a: i for i, a in enumerate(actions)}
     # wider than every name, so that a cut-off token matches none
-    width, a_width = max(map(len, names)) + 1, max(map(len, actions), default=0) + 1
-    dtype = [("s", f"S{width}"), ("a", f"S{a_width}"), ("t", f"S{width}"), ("p", "f8")]
+    dtype = [(c, f"S{max(map(len, t), default=0) + 1}") for c, t in zip("sat", (names, actions, names))]
+    dtype.append(("p", "f8"))
     # a name with a lone surrogate still encodes; only ASCII ones can match
     tables = [dict(zip("\n".join(t).encode("utf-8", "surrogatepass").split(b"\n"), range(len(t))))
               for t in (names, actions)]
     blocks, error = [(np.empty(0, dtype=np.int64), np.empty(0), None)], None
     while pos < len(text) and error is None:
-        # a piece ends after a newline, so it splits into whole lines
-        end = text.find("\n", pos + _CHUNK) + 1 or len(text)
+        end = text.find("\n", pos + _CHUNK) + 1 or len(text)  # so a piece has whole lines
         piece, pos = text[pos:end], end
         lines = piece.splitlines()
         blocks.append(_convert(piece, lines, dtype, tables, n)
                       or _read_lines(lines, lineno + 1, index, act_index))
         lineno, error = lineno + len(lines), blocks[-1][2]
 
-    keys, probs, _ = zip(*blocks)
-    key, prob = np.concatenate(keys), np.concatenate(probs)
+    key, prob = map(np.concatenate, list(zip(*blocks))[:2])
     order = np.argsort(key, kind="stable")
-    repeat = order[1:][key[order[1:]] == key[order[:-1]]]
+    key, prob = key[order], prob[order]
+    repeat = order[1:][key[1:] == key[:-1]]
     if repeat.size:
         # every line after the headers, up to the error, is a transition
         after = ((i, line) for i, line in _lines(text) if i > start)
@@ -167,8 +167,8 @@ def parse_pts(text: str, tol: float = DEFAULT_TOL) -> tuple[LabelledPTS, tuple[s
         raise ParseError("duplicate transition " + " ".join(line.split()[:3]), lineno)
     if error is not None:
         raise error
-    row, dst = np.divmod(key[order], n)
-    pts = LabelledPTS.from_edges(n, actions, row, dst, prob[order])
+    row, dst = np.divmod(key, n)
+    pts = LabelledPTS.from_edges(n, actions, row, dst, prob)
     validate_pts(pts, tol)
     return pts, tuple(names)
 
