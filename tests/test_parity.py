@@ -366,8 +366,8 @@ def unusual_text(rng, bad_line: bool) -> str:
     actions = odd(rng, ACTION_SETS)
     pts = gen_random_pts(n, actions, rng.choice([0.5, 1.0]), rng.randrange(10**6))
     action, source = np.divmod(pts.row, n)
-    rows = [[names[s], actions[a], names[t], probability_token(p, rng)]
-            for s, a, t, p in zip(source.tolist(), action.tolist(), pts.dst.tolist(), pts.prob.tolist())]
+    edges = zip(source.tolist(), action.tolist(), pts.dst.tolist(), pts.prob.tolist())
+    rows = [[names[s], actions[a], names[t], probability_token(p, rng)] for s, a, t, p in edges]
     rng.shuffle(rows)
     if bad_line and rows:
         at = rng.randrange(len(rows))
@@ -389,7 +389,8 @@ def assert_parses_as_the_line_reader_does(text):
     if expected is None:
         (fast, names), (slow, slow_names) = parse_pts(text), naive_parse_pts(text)
         assert fast == slow and names == slow_names
-        assert all(map(np.array_equal, (fast.row, fast.dst, fast.prob), (slow.row, slow.dst, slow.prob)))
+        for new, old in zip((fast.row, fast.dst, fast.prob), (slow.row, slow.dst, slow.prob)):
+            assert np.array_equal(new, old)
     return expected
 
 
@@ -399,7 +400,8 @@ def test_parse_matches_the_line_reader_on_unusual_text(chunk, monkeypatch):
     if chunk is not None:
         monkeypatch.setattr(formats, "_CHUNK", chunk)
     rng = random.Random(18)
-    results = [assert_parses_as_the_line_reader_does(unusual_text(rng, i % 2 == 1)) for i in range(400)]
+    texts = [unusual_text(rng, bad_line=i % 2 == 1) for i in range(400)]
+    results = [assert_parses_as_the_line_reader_does(text) for text in texts]
     failures = [r for r in results if r is not None]
     assert 100 <= len(failures) <= 300
     assert len({r[1].split(":")[1][:12] for r in failures}) >= 6
