@@ -15,14 +15,14 @@ O(n_c*E_a + n_a*E_c) work plus a sort per round.
 Galois connections are represented compactly: the concrete lattice is the
 powerset of the concrete states, the abstract side is an explicit finite
 lattice, and the abstraction map is given on singletons only.  Its join
-extension to all subsets is the unique union-preserving completion; the
-concretisation map is derived, never user-supplied.  The checker can also
-verify an explicitly tabulated abstraction map, which is how inconsistent
-(hand-built) tables are rejected.  Lattice join and meet tables come from
-the closed order one row at a time (O(size^3) work in O(size^2) memory).
-Tables over all 2^n subsets are built by doubling over the concrete states,
-and every condition is checked as one boolean array whose first true cell,
-in row-major order, is the first violation in subset-then-element order.
+extension to all subsets is the unique union-preserving completion, so a
+Galois connection by construction; the concretisation map is derived, never
+user-supplied.  The checker can also verify an explicitly tabulated
+abstraction map, which is how inconsistent (hand-built) tables are rejected.
+Lattice join and meet tables come from the closed order one row at a time
+(O(size^3) work in O(size^2) memory).  The basis check tests one subset per
+lattice element; only ``alpha_join_table`` and ``induced_relation`` tabulate
+all 2^n subsets, up to ``DEFAULT_CONCRETE_CAP`` states.
 """
 
 from __future__ import annotations
@@ -336,39 +336,28 @@ class GaloisViolation:
         return f"{self.kind} violated at {self.subject}"
 
 
-def _derived_gamma(g: GaloisSpec, table: Sequence[int]) -> np.ndarray:
-    # gamma(e) as a bitmask: concrete states whose singleton image is <= e
-    bits = 1 << np.arange(g.concrete_n, dtype=np.int64)
-    singles = np.asarray(table)[bits]
-    return bits @ g.lattice._leq[singles]
-
-
 def check_galois(
-    g: GaloisSpec,
-    alpha_table: Sequence[int] | None = None,
-    cap: int = DEFAULT_CONCRETE_CAP,
+    g: GaloisSpec, alpha_table: Sequence[int] | None = None
 ) -> tuple[bool, GaloisViolation | None]:
     """Verify the adjunction over the full (finite) powerset.
 
     Checks monotonicity of the abstraction table and of the derived
-    concretisation, and the two composite inequalities.  With the default
-    join-extended table these hold by construction; passing an explicit
-    ``alpha_table`` (one abstract element per subset bitmask) verifies that
-    table instead and reports the first violation found.
+    concretisation, and the two composite inequalities.  The default
+    join-extended table meets them by construction (alpha(S) is below e iff
+    every singleton image in S is, iff S lies inside gamma(e)), so nothing
+    is built; an explicit ``alpha_table`` (one abstract element per subset
+    bitmask) is verified, and its first violation is reported.
     """
-    if g.concrete_n > cap:
-        raise CarrierTooLargeError(g.concrete_n, cap)
-    size = 1 << g.concrete_n
     if alpha_table is None:
-        table = _alpha_table(g, cap)
-    else:
-        table = list(alpha_table)
-        if len(table) != size:
-            raise ValidationError(f"alpha table has {len(table)} entries, expected {size}")
-        for e in table:
-            if not 0 <= e < g.lattice.size:
-                raise ValidationError(f"alpha table entry {e} is not a lattice element")
-        table = np.array(table, dtype=np.int64)
+        return True, None
+    size = 1 << g.concrete_n
+    table = list(alpha_table)
+    if len(table) != size:
+        raise ValidationError(f"alpha table has {len(table)} entries, expected {size}")
+    for e in table:
+        if not 0 <= e < g.lattice.size:
+            raise ValidationError(f"alpha table entry {e} is not a lattice element")
+    table = np.array(table, dtype=np.int64)
     leq = g.lattice._leq
     masks = np.arange(size)
     bits = 1 << np.arange(g.concrete_n)
@@ -379,7 +368,8 @@ def check_galois(
         mask, c = divmod(int(np.argmax(worse)), g.concrete_n)
         return False, GaloisViolation("alpha-monotone", (mask, mask | (1 << c)))
 
-    gamma = _derived_gamma(g, table)
+    # gamma(e) as a bitmask: concrete states whose singleton image is <= e
+    gamma = bits @ leq[table[bits]]
     worse = leq & ((gamma[:, None] & ~gamma[None, :]) != 0)
     if worse.any():
         e, f = divmod(int(np.argmax(worse)), g.lattice.size)
@@ -416,7 +406,6 @@ def check_abstraction_basis(
     a: KripkeStructure,
     g: GaloisSpec,
     state_of_element: Sequence[int] | None = None,
-    cap: int = DEFAULT_CONCRETE_CAP,
 ) -> tuple[bool, tuple[int, int] | None]:
     """Check that the induced relation simulates the collecting semantics.
 
@@ -428,13 +417,16 @@ def check_abstraction_basis(
     Requires a prior successful ``check_galois``; returns the smallest
     violating (subset bitmask, element index) otherwise.
 
-    ``answered[t, e]`` (some abstract edge from e's state reaches an
-    element above t) is one product of the order with the element graph,
-    and post(S) is tabulated by doubling like alpha, so the check is one
-    boolean array over (subset, element).  ``state_of_element`` must map
-    every lattice element to a state of ``a``.
+    alpha(S) is below e iff S lies inside gamma(e), and a larger S has a
+    larger post, which fewer elements cover: the violating subsets at e are
+    closed upwards within gamma(e), so e has one iff gamma(e) is one.  All
+    elements are checked at once on gamma as a (size, n) array, and the
+    smallest violating subset drops states, highest first, while the rest
+    still violates.  ``state_of_element`` maps elements to states of ``a``.
     """
     size = g.lattice.size
+    if c.n != g.concrete_n:
+        raise ValidationError(f"concrete structure has {c.n} states but the spec has {g.concrete_n}")
     if state_of_element is None:
         if a.n != size:
             raise ValidationError(
@@ -449,18 +441,25 @@ def check_abstraction_basis(
     if outside.any():
         e = int(np.argmax(outside))
         raise ValidationError(f"state_of_element[{e}] = {soe[e]} is not an abstract state")
-    table = _alpha_table(g, cap)
-    post_of_state = np.zeros(g.concrete_n, dtype=np.int64)
-    np.bitwise_or.at(post_of_state, c.edges[:, 0], 1 << c.edges[:, 1])
-    post = np.zeros(1, dtype=np.int64)
-    for step in post_of_state:
-        post = np.concatenate((post, post | step))
-
-    leq = g.lattice._leq
-    element_edges = np.isin(soe[:, None] * a.n + soe, a.edges[:, 0] * a.n + a.edges[:, 1])
-    answered = (leq.astype(np.float32) @ element_edges.T) > 0
-    unmatched = (post != 0)[:, None] & leq[table] & ~answered[table[post]]
-    if unmatched.any():
-        mask, e = divmod(int(np.argmax(unmatched)), size)
-        return False, (mask, e)
-    return True, None
+    gamma = g.lattice._leq[list(g.alpha_singleton)].T
+    # escapes[x, f]: a successor of x lies outside gamma(f); last column: x
+    # has a successor.  post(S) is the union of its states' posts, so S
+    # violates at e iff some state of S escapes each needed column: the
+    # last one and every f that e's state steps to.
+    src, dst = c.edges.T
+    escapes = np.zeros((c.n, size + 1), dtype=bool)
+    np.logical_or.at(escapes, src, np.column_stack((~gamma.T[dst], np.ones(len(dst), dtype=bool))))
+    needed = np.isin(soe[:, None] * a.n + soe, a.edges[:, 0] * a.n + a.edges[:, 1])
+    needed = np.column_stack((needed, np.ones(size, dtype=bool)))
+    hits = gamma.astype(np.float32) @ escapes.astype(np.float32)
+    elems = np.flatnonzero(((hits > 0) | ~needed).all(axis=1))
+    if not elems.size:
+        return True, None
+    sets, hits, needed = gamma[elems], hits[elems], needed[elems]
+    for k in reversed(range(c.n)):
+        # drop k unless it is the set's last state escaping a needed column
+        drop = sets[:, k] & ~((hits == 1) & needed & escapes[k]).any(axis=1)
+        sets[drop, k] = False
+        hits[drop] -= escapes[k]
+    masks = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little") for row in sets]
+    return False, min(zip(masks, elems.tolist()))

@@ -240,13 +240,14 @@ def test_mutated_singleton_breaks_composite_inequality():
 
 def test_derived_gamma_is_unique_adjoint():
     # enumerate every candidate gamma: exactly one monotone map satisfies
-    # both composite inequalities against the join-extended alpha
+    # both composite inequalities against the join-extended alpha, and it
+    # maps e to the union of the subsets the induced relation puts below e
     lat = FiniteLattice(2, [(0, 1)])
     g = GaloisSpec(2, lat, (1, 1))
     table = alpha_join_table(g)
-    from pbisim.galois import _derived_gamma
-
-    derived = _derived_gamma(g, table).tolist()
+    derived = [0] * lat.size
+    for s, e in induced_relation(g):
+        derived[e] |= s
     valid = []
     for cand in itertools.product(range(4), repeat=lat.size):
         if any(
@@ -290,7 +291,11 @@ def test_carrier_cap():
     from pbisim.errors import CarrierTooLargeError
 
     with pytest.raises(CarrierTooLargeError):
-        check_galois(g, cap=4)
+        alpha_join_table(g, cap=4)
+    with pytest.raises(CarrierTooLargeError):
+        induced_relation(g, cap=4)
+    # the join extension is a Galois connection by construction: no table
+    assert check_galois(g) == (True, None)
 
 
 # --- abstraction basis -------------------------------------------------------
@@ -343,3 +348,8 @@ def test_basis_requires_matching_sizes():
     a = KripkeStructure(3, frozenset(), frozenset())
     with pytest.raises(ValidationError):
         check_abstraction_basis(c, a, g)
+    a = KripkeStructure(2, frozenset({(1, 1)}), frozenset())
+    for n in (1, 3):
+        c = KripkeStructure(n, frozenset({(0, n - 1)}), frozenset())
+        with pytest.raises(ValidationError, match=f"concrete structure has {n} states but the spec has 2"):
+            check_abstraction_basis(c, a, g)

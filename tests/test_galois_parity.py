@@ -205,11 +205,11 @@ def test_explicit_alpha_table_errors_match():
         assert str(got.value) == str(want.value)
 
 
-def test_abstraction_basis_matches():
-    rng = random.Random(6)
-    verdicts = {True: 0, False: 0}
-    for lat in lattices(6, 300):
-        n = rng.randint(1, 6)
+def basis_cases(seed: int, count: int, lo: int, hi: int):
+    """Specs of ``lo..hi`` concrete states with random structures on both sides."""
+    rng = random.Random(seed)
+    for lat in lattices(seed, count):
+        n = rng.randint(lo, hi)
         g = spec(rng, lat, n)
         c = random_kripke(rng, n, rng.choice([0.1, 0.3, 0.5]))
         na = lat.size + rng.randint(0, 3)
@@ -219,12 +219,29 @@ def test_abstraction_basis_matches():
             frozenset((x, y) for x in range(na) for y in range(na) if rng.random() < p),
             frozenset(),
         )
-        soe = [rng.randrange(na) for _ in range(lat.size)]
+        yield c, a, g, [rng.randrange(na) for _ in range(lat.size)]
+
+
+def test_abstraction_basis_matches():
+    verdicts = {True: 0, False: 0}
+    for c, a, g, soe in basis_cases(6, 300, 1, 6):
+        assert check_galois(g) == naive_check_galois(g) == (True, None)
         want = naive_check_abstraction_basis(c, a, g, soe)
         assert check_abstraction_basis(c, a, g, soe) == want, (c, a, g, soe)
         verdicts[want[0]] += 1
-        if na == lat.size:
+        if a.n == g.lattice.size:
             assert check_abstraction_basis(c, a, g) == naive_check_abstraction_basis(c, a, g)
+    assert min(verdicts.values()) >= 20, verdicts
+
+
+def test_abstraction_basis_matches_on_larger_powersets():
+    # 128 to 4,096 subsets per spec: the witness is the smallest violating
+    # subset over all of them, not only the ones a few states can form
+    verdicts = {True: 0, False: 0}
+    for c, a, g, soe in basis_cases(19, 200, 7, 12):
+        want = naive_check_abstraction_basis(c, a, g, soe)
+        assert check_abstraction_basis(c, a, g, soe) == want, (c, a, g, soe)
+        verdicts[want[0]] += 1
     assert min(verdicts.values()) >= 20, verdicts
 
 
@@ -297,19 +314,22 @@ def test_sparse_thousand_state_simulation_is_quick():
     assert 0 < len(rel.pairs) < 1000 * 1000
 
 
-def test_sixteen_state_powerset_basis_check_is_quick(tmp_path, capsys):
-    # 16 concrete states against the 64-element powerset lattice of 6 bits
+def powerset_basis_check(tmp_path, capsys, n: int, holds: bool = True):
+    """``galois-check --against`` of n concrete states against the 64-element
+    powerset lattice of 6 bits: (exit code, JSON result, seconds in main)."""
     rng = random.Random(16)
     names = [f"e{x}" for x in range(64)]
     spec_lines = ["abstract: " + " ".join(names)]
     spec_lines += [f"leq: e{x} <= e{x | 1 << i}" for x in range(64) for i in range(6) if not x >> i & 1]
     # images low in the lattice leave many elements above each subset's
     # image, and every one of those (subset, element) pairs is checked
-    spec_lines += [f"alpha: g{c} e{1 << (c % 2)}" for c in range(16)]
-    conc = ["states: " + " ".join(f"g{c}" for c in range(16))]
-    conc += [f"g{x} -> g{y}" for x in range(16) for y in range(16) if rng.random() < 0.2]
+    spec_lines += [f"alpha: g{c} e{1 << (c % 2)}" for c in range(n)]
+    conc = ["states: " + " ".join(f"g{c}" for c in range(n))]
+    conc += [f"g{x} -> g{y}" for x in range(n) for y in range(n) if rng.random() < 0.2]
     abstract = ["states: " + " ".join(names)]
-    abstract += [f"e{x} -> e{y}" for x in range(64) for y in (63, rng.randrange(64))]
+    # every element steps to top, which covers every post; without top's
+    # own edges the subsets below top have no matched step
+    abstract += [f"e{x} -> e{y}" for x in range(64) for y in (63, rng.randrange(64)) if holds or x != 63]
     files = []
     for name, lines in (("g.galois", spec_lines), ("c.kripke", conc), ("a.kripke", abstract)):
         (tmp_path / name).write_text("\n".join(lines) + "\n")
@@ -317,6 +337,32 @@ def test_sixteen_state_powerset_basis_check_is_quick(tmp_path, capsys):
     t0 = time.perf_counter()
     code = cli.main(["galois-check", files[0], "--against", files[1], files[2], "--json"])
     took = time.perf_counter() - t0
-    result = json.loads(capsys.readouterr().out)["result"]
+    return code, json.loads(capsys.readouterr().out)["result"], took
+
+
+def test_sixteen_state_powerset_basis_check_is_quick(tmp_path, capsys):
+    code, result, took = powerset_basis_check(tmp_path, capsys, 16)
     assert (code, result["galois"], result["basis"]) == (0, True, True)
     assert took < 5, took
+
+
+@pytest.mark.parametrize("holds", [True, False])
+def test_sixty_four_state_powerset_basis_check_is_quick(tmp_path, capsys, holds):
+    code, result, took = powerset_basis_check(tmp_path, capsys, 64, holds)
+    assert (code, result["galois"], result["basis"]) == (0 if holds else 1, True, holds)
+    assert (result["basis_counterexample"] is None) == holds
+    assert took < 5, took
+
+
+def test_basis_witness_beyond_sixty_three_states_is_exact(tmp_path, capsys):
+    # only g65 and g69 step, and nothing answers: the smallest violating
+    # subset is {g65}, bitmask 2^65, below top
+    (tmp_path / "g.galois").write_text(
+        "abstract: bot top\nleq: bot <= top\n" + "".join(f"alpha: g{c} top\n" for c in range(70)))
+    (tmp_path / "c.kripke").write_text(
+        "states: " + " ".join(f"g{c}" for c in range(70)) + "\ng65 -> g0\ng69 -> g1\n")
+    (tmp_path / "a.kripke").write_text("states: bot top\n")
+    files = [str(tmp_path / name) for name in ("g.galois", "c.kripke", "a.kripke")]
+    code = cli.main(["galois-check", files[0], "--against", files[1], files[2], "--json"])
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert (code, result["basis"], result["basis_counterexample"]) == (1, False, [["g65"], "top"])
