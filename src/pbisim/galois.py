@@ -444,8 +444,8 @@ def check_abstraction_basis(
     gamma = g.lattice._leq[list(g.alpha_singleton)].T
     # escapes[x, f]: a successor of x lies outside gamma(f); last column: x
     # has a successor.  post(S) is the union of its states' posts, so S
-    # violates at e iff some state of S escapes each needed column: the
-    # last one and every f that e's state steps to.
+    # violates at e iff S escapes the last column and each f whose state
+    # e's state steps to; hits counts S's escaping states (exact below 2^24).
     src, dst = c.edges.T
     escapes = np.zeros((c.n, size + 1), dtype=bool)
     np.logical_or.at(escapes, src, np.column_stack((~gamma.T[dst], np.ones(len(dst), dtype=bool))))
