@@ -18,7 +18,11 @@ import numpy as np
 
 from .core import Classification, DEFAULT_TOL, LabelledPTS, disjoint_union
 from .errors import NotLumpableError, ValidationError
-from .matrices import is_lumpable, lumped, sum_by_key
+from .matrices import _stable_order, is_lumpable, lumped, sum_by_key
+
+# Batches reaching fewer (state, column) pairs skip the composite sort and
+# the array check of whether anything splits.
+_WIDE = 1024
 
 
 @dataclass(frozen=True)
@@ -57,7 +61,13 @@ def coarsest_bisimulation(pts: LabelledPTS, tol: float = DEFAULT_TOL) -> Classif
     queued (Valmari & Franceschinis, TACAS 2010), so a state's incoming
     edges are visited O(log n) times.  Once the queue is empty, one pass
     with every block as a splitter checks the result and refining resumes
-    if that pass splits anything.
+    if that pass splits anything.  It runs only if a probe of the blocks
+    not checked (served as a splitter, unchanged since) would split, for a
+    checked block C splits nothing: its batch left every block's masses
+    into C, the same sums now, all absent or all present in one
+    leader-first group, and every block since is a subset of such a piece.
+    A subset of one group is one group, and "all present or all absent"
+    carries over to a subset.
 
     The result is therefore lumpable at ``tol`` (see ``is_lumpable``).  If
     some entry is negative (validation admits entries down to ``-tol``),
@@ -73,9 +83,13 @@ def coarsest_bisimulation(pts: LabelledPTS, tol: float = DEFAULT_TOL) -> Classif
     while True:
         while ref.queue:
             batch, ref.queue = ref.queue, []
+            ref.unchecked.difference_update(batch)
             ref.split_by(batch)
-        if not ref.split_by(list(range(len(ref.members)))):
+        unchecked = sorted(ref.unchecked)
+        if not (unchecked and ref.split_by(unchecked, probe=True)):
             break
+        ref.unchecked.clear()
+        ref.split_by(list(range(len(ref.members))))
     # number the blocks in order of their first state
     number: dict[int, int] = {}
     assign = tuple(number.setdefault(b, len(number)) for b in ref.block_of.tolist())
@@ -95,7 +109,7 @@ class _Refinement:
         n = pts.n
         self.n, self.tol = n, tol
         self.n_actions = len(pts.actions)
-        order = np.argsort(pts.dst, kind="stable")
+        order = _stable_order(pts.dst)
         self.row, self.prob = pts.row[order], pts.prob[order]
         self.ptr = np.concatenate(([0], np.cumsum(np.bincount(pts.dst, minlength=n))))
         # masses at most this far from 0 count as absent
@@ -107,6 +121,8 @@ class _Refinement:
         self.size = np.zeros(n, dtype=np.intp)
         self.size[:m0] = np.bincount(self.block_of)
         self.members: list[set[int]] = [set() for _ in range(m0)]
+        # blocks that have not served as splitters since they last changed
+        self.unchecked = set(range(m0))
         for s, b in enumerate(self.block_of.tolist()):
             self.members[b].add(s)
         # Row sums are 1 or 0 by enabledness, so every block already has
@@ -114,11 +130,12 @@ class _Refinement:
         largest = int(np.argmax(self.size))
         self.queue = [b for b in range(m0) if b != largest]
 
-    def split_by(self, batch: list[int]) -> bool:
+    def split_by(self, batch: list[int], probe: bool = False) -> bool:
         """Split every block by its states' masses into the batch's blocks.
 
         Returns whether any block was split.  New pieces are queued by the
-        smaller-half rule.
+        smaller-half rule.  With ``probe``, changes nothing and returns
+        whether the pass would split a block.
         """
         tol = self.tol
         k = len(batch)
@@ -136,7 +153,8 @@ class _Refinement:
         # per (row, splitter) key, and its (block, action, splitter) segment
         e = np.arange(ends[-1]) + np.repeat(starts - ends + lens, lens)
         splitter = np.repeat(np.repeat(np.arange(k), counts), lens)
-        key, mass = sum_by_key(self.row[e] * k + splitter, self.prob[e])
+        key = self.row[e] * k + splitter
+        key, mass = sum_by_key(key, self.prob[e], _stable_order(key))
         row = key // k
         src = row % self.n
         blk = self.block_of[src]
@@ -145,7 +163,22 @@ class _Refinement:
             return False
         src, mass = src[present], mass[present]
         seg = (blk[present] * self.n_actions + row[present] // self.n) * k + key[present] % k
-        order = np.lexsort((mass, seg))
+        size = seg.size
+        if size < _WIDE or self.n * self.n_actions * k * size > np.iinfo(np.int64).max:
+            order = np.lexsort((mass, seg))
+        else:
+            # equal masses get one rank, so they keep their order
+            order = _stable_order(seg * size + np.unique(mass, return_inverse=True)[1])
+        src, seg, mass = src[order], seg[order], mass[order]
+        if probe or size >= _WIDE:
+            # nothing splits iff every segment holds its whole block in one group
+            first = np.flatnonzero(np.concatenate(([True], seg[1:] != seg[:-1])))
+            end = np.append(first[1:], size)
+            whole = end - first == self.size[seg[first] // (self.n_actions * k)]
+            if (whole & (mass[end - 1] - mass[first] <= tol)).all():
+                return False
+            if probe:
+                return True
 
         # Within a segment sorted by mass, a group starts at a leader and
         # holds the masses at most tol above it.  A reached state's
@@ -153,7 +186,7 @@ class _Refinement:
         # are unique, so states with equal signatures are in the same block.
         sig: dict[int, list[int]] = {}
         g, last, lead = -1, -1, 0.0
-        for s, sg, x in zip(src[order].tolist(), seg[order].tolist(), mass[order].tolist()):
+        for s, sg, x in zip(src.tolist(), seg.tolist(), mass.tolist()):
             if sg != last or x - lead > tol:
                 g, last, lead = g + 1, sg, x
             sig.setdefault(s, []).append(g)
@@ -181,8 +214,10 @@ class _Refinement:
                 if len(big) > rest:
                     unqueued = big
                     self.queue.append(b)
+            self.unchecked.add(b)
             for p in parts:
                 nb = len(self.members)
+                self.unchecked.add(nb)
                 self.members.append(set(p))
                 self.members[b].difference_update(p)
                 self.size[nb] = len(p)

@@ -124,12 +124,32 @@ class LumpabilityViolation:
         )
 
 
-def sum_by_key(key: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+# Below about this many unordered keys timsort is as fast (16 to 16,384 measured).
+_SORT_CROSSOVER = 1024
+
+
+def _stable_order(key: np.ndarray) -> np.ndarray:
+    """``np.argsort(key, kind="stable")`` for non-negative integer keys.
+
+    On integers that call runs timsort, which is slow on long unordered
+    keys.  The composites ``key * size + index`` are distinct, so numpy's
+    default (SIMD) sort orders them stably, and ``% size`` decodes the
+    permutation: 0.3 ms against 1.8 ms on 26,638 keys.  Short input, or keys
+    large enough that a composite could overflow int64, take timsort.
+    """
+    size = key.size
+    if size < _SORT_CROSSOVER or int(key.max()) >= np.iinfo(np.int64).max // size:
+        return np.argsort(key, kind="stable")
+    return np.sort(key.astype(np.int64) * size + np.arange(size)) % size
+
+
+def sum_by_key(key: np.ndarray, values: np.ndarray, order=None) -> tuple[np.ndarray, np.ndarray]:
     """Distinct keys, ascending, and the sum of ``values`` per key.
 
-    Each sum is taken in input order, one addition at a time.
+    Each sum is taken in input order, one addition at a time.  ``order``,
+    if given, is ``key``'s stable sorting permutation.
     """
-    order = np.argsort(key, kind="stable")
+    order = np.argsort(key, kind="stable") if order is None else order
     key = key[order]
     head = np.empty(key.size, dtype=bool)
     head[:1] = True

@@ -5,6 +5,8 @@ check: the coarsest-partition oracle enumerates every set partition, the
 simulation oracle enumerates every relation, and classification counting
 enumerates raw assignments.  ``naive_coarsest`` is the dense round-based
 signature refinement the library used before its splitter-driven one, and
+``loop_coarsest`` is that splitter-driven refinement as it ran before its
+sorts, its no-split check and its closing pass moved into arrays;
 the other ``naive_*`` functions are the dense n x n implementations of
 parsing, validation, union, lumpability and quotienting that the edge-array
 ones replaced.  ``naive_gen_*``, ``naive_perturb`` and ``naive_exact_best``
@@ -46,7 +48,13 @@ from pbisim.errors import (
     ValidationError,
 )
 from pbisim.galois import DEFAULT_CONCRETE_CAP, GaloisSpec, GaloisViolation
-from pbisim.matrices import LumpabilityViolation, classification_matrix, lump, matrix_norm
+from pbisim.matrices import (
+    LumpabilityViolation,
+    classification_matrix,
+    lump,
+    matrix_norm,
+    sum_by_key,
+)
 from pbisim.generators import (
     _DENOM,
     _PERTURB_GRID,
@@ -128,6 +136,137 @@ def naive_coarsest(pts: LabelledPTS, tol: float = 1e-9) -> Classification:
                     block_of[s] = j
             return canonical(block_of)
         blocks = new_blocks
+
+
+def loop_coarsest(pts: LabelledPTS, tol: float = DEFAULT_TOL) -> Classification:
+    """Splitter-driven refinement with stable argsorts, a Python loop over
+    every reached (state, column) pair, and a closing pass over all blocks."""
+    ref = _LoopRefinement(pts, tol)
+    while True:
+        while ref.queue:
+            batch, ref.queue = ref.queue, []
+            ref.split_by(batch)
+        if not ref.split_by(list(range(len(ref.members)))):
+            break
+    # number the blocks in order of their first state
+    number: dict[int, int] = {}
+    assign = tuple(number.setdefault(b, len(number)) for b in ref.block_of.tolist())
+    return Classification(assign, len(number))
+
+
+class _LoopRefinement:
+    """Refinable partition of a system's states, with a splitter queue.
+
+    ``members[b]`` holds block ``b``'s states; ``block_of`` and ``size``
+    hold the same facts as arrays.  The system's edge table (``row =
+    action * n + source``, and ``prob``) is kept sorted by target state,
+    ``ptr`` delimiting each state's incoming edges.
+    """
+
+    def __init__(self, pts: LabelledPTS, tol: float):
+        n = pts.n
+        self.n, self.tol = n, tol
+        self.n_actions = len(pts.actions)
+        order = np.argsort(pts.dst, kind="stable")
+        self.row, self.prob = pts.row[order], pts.prob[order]
+        self.ptr = np.concatenate(([0], np.cumsum(np.bincount(pts.dst, minlength=n))))
+        # masses at most this far from 0 count as absent
+        self.absent = tol / 2 if (self.prob < 0).any() else tol
+
+        _, first = np.unique(pts.enabled_rows().T, axis=0, return_inverse=True)
+        self.block_of = first.reshape(n).astype(np.intp)
+        m0 = int(self.block_of.max()) + 1
+        self.size = np.zeros(n, dtype=np.intp)
+        self.size[:m0] = np.bincount(self.block_of)
+        self.members: list[set[int]] = [set() for _ in range(m0)]
+        for s, b in enumerate(self.block_of.tolist()):
+            self.members[b].add(s)
+        # Row sums are 1 or 0 by enabledness, so every block already has
+        # equal mass into the whole state set and one block may be skipped.
+        largest = int(np.argmax(self.size))
+        self.queue = [b for b in range(m0) if b != largest]
+
+    def split_by(self, batch: list[int]) -> bool:
+        """Split every block by its states' masses into the batch's blocks.
+
+        Returns whether any block was split.  New pieces are queued by the
+        smaller-half rule.
+        """
+        tol = self.tol
+        k = len(batch)
+        # each splitter's states ascending, so that masses add up in
+        # ascending target order, as is_lumpable adds them
+        sets = [sorted(self.members[b]) for b in batch]
+        counts = [len(m) for m in sets]
+        states = np.fromiter(itertools.chain.from_iterable(sets), np.intp, sum(counts))
+        starts = self.ptr[states]
+        lens = self.ptr[states + 1] - starts
+        ends = np.cumsum(lens)
+        if ends[-1] == 0:
+            return False
+        # the incoming edges of all splitter states, each predecessor's mass
+        # per (row, splitter) key, and its (block, action, splitter) segment
+        e = np.arange(ends[-1]) + np.repeat(starts - ends + lens, lens)
+        splitter = np.repeat(np.repeat(np.arange(k), counts), lens)
+        key, mass = sum_by_key(self.row[e] * k + splitter, self.prob[e])
+        row = key // k
+        src = row % self.n
+        blk = self.block_of[src]
+        present = (np.abs(mass) > self.absent) & (self.size[blk] > 1)
+        if not present.any():
+            return False
+        src, mass = src[present], mass[present]
+        seg = (blk[present] * self.n_actions + row[present] // self.n) * k + key[present] % k
+        order = np.lexsort((mass, seg))
+
+        # Within a segment sorted by mass, a group starts at a leader and
+        # holds the masses at most tol above it.  A reached state's
+        # signature is its list of groups in segment order; group numbers
+        # are unique, so states with equal signatures are in the same block.
+        sig: dict[int, list[int]] = {}
+        g, last, lead = -1, -1, 0.0
+        for s, sg, x in zip(src[order].tolist(), seg[order].tolist(), mass[order].tolist()):
+            if sg != last or x - lead > tol:
+                g, last, lead = g + 1, sg, x
+            sig.setdefault(s, []).append(g)
+        pieces: dict[tuple[int, ...], list[int]] = {}
+        for s, gs in sig.items():
+            pieces.setdefault(tuple(gs), []).append(s)
+        by_block: dict[int, list[list[int]]] = {}
+        for piece in pieces.values():
+            by_block.setdefault(int(self.block_of[piece[0]]), []).append(piece)
+
+        moved: list[int] = []
+        moved_to: list[int] = []
+        for b, parts in by_block.items():
+            rest = int(self.size[b]) - sum(len(p) for p in parts)
+            unqueued = None
+            if rest == 0:
+                if len(parts) == 1:
+                    continue
+                # the largest piece keeps the block's number, unqueued
+                parts = sorted(parts, key=len)[:-1]
+            else:
+                # the unreached states keep the block's number; a piece
+                # larger than them is the one left out of the queue
+                big = max(parts, key=len)
+                if len(big) > rest:
+                    unqueued = big
+                    self.queue.append(b)
+            for p in parts:
+                nb = len(self.members)
+                self.members.append(set(p))
+                self.members[b].difference_update(p)
+                self.size[nb] = len(p)
+                self.size[b] -= len(p)
+                if p is not unqueued:
+                    self.queue.append(nb)
+                moved.extend(p)
+                moved_to.extend([nb] * len(p))
+        if not moved:
+            return False
+        self.block_of[moved] = moved_to
+        return True
 
 
 def as_set(values: np.ndarray) -> set:

@@ -15,7 +15,7 @@ from pbisim import (
     pseudo_inverse,
 )
 from pbisim.errors import DimensionMismatchError, NotClassificationMatrixError
-from pbisim.matrices import table_norm
+from pbisim.matrices import _SORT_CROSSOVER, _stable_order, table_norm
 from pbisim.generators import gen_planted, gen_random_pts
 
 from helpers import dense, planted_pair
@@ -275,3 +275,24 @@ def test_stacked_matrix_norm_equals_each_matrix_norm(kind):
 @pytest.mark.parametrize("kind", ["op-inf", "entry-max", "frobenius"])
 def test_matrix_norm_of_one_matrix_is_a_python_float(kind):
     assert type(matrix_norm(np.array([[0.1, -0.7], [0.3, 0.2]]), kind)) is float
+
+
+def test_stable_order_is_the_stable_argsort():
+    rng = np.random.default_rng(8)
+    cases = [np.zeros(0, dtype=np.int64), np.array([7]), np.full(3000, 5), rng.integers(0, 3, 3000)]
+    for size in (_SORT_CROSSOVER - 1, _SORT_CROSSOVER, 3 * _SORT_CROSSOVER):
+        cases += [
+            rng.integers(0, 10 * size, size),
+            rng.integers(0, 4, size),
+            np.sort(rng.integers(0, size, size)),
+            rng.integers(2**31 - 2 * size, 2**31, size).astype(np.int32),
+        ]
+        # the largest key that takes the composite sort, and the smallest
+        # that does not
+        top = np.iinfo(np.int64).max // size
+        for high in (top - 1, top):
+            key = rng.integers(0, high, size)
+            key[rng.integers(size, size=4)] = high
+            cases.append(key)
+    for key in cases:
+        assert np.array_equal(_stable_order(key), np.argsort(key, kind="stable"))

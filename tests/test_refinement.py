@@ -1,7 +1,11 @@
-"""Splitter-driven refinement against the dense round-based oracle.
+"""Splitter-driven refinement against the dense round-based oracle and
+against its own loop form.
 
 Dyadic corpora have exactly representable masses, so the two refinements
-must return the same partition.  Corpora built from 1/3 or 0.1/0.2/0.7
+must return the same partition.  The loop form runs the same refinement
+with stable argsorts, a Python loop over every batch and a closing pass
+over every block, so it must return the same partition bit for bit on
+every input and at every tolerance.  Corpora built from 1/3 or 0.1/0.2/0.7
 probabilities carry sub-tolerance residues: there the result must be
 lumpable and no finer than the oracle's, and on small systems it must be
 the enumerated coarsest lumping.
@@ -18,12 +22,22 @@ from pbisim import (
     coarsest_bisimulation,
     is_lumpable,
 )
-from pbisim import cli
+from pbisim import bisim, cli
 from pbisim.core import DEFAULT_TOL
-from pbisim.formats import print_pts
-from pbisim.generators import gen_planted, gen_random_pts
+from pbisim.formats import parse_pts, print_pts
+from pbisim.generators import gen_planted, gen_random_pts, perturb
 
-from helpers import ACTIONS, brute_coarsest, canonical, dense, naive_coarsest, tolerance_chain
+from helpers import (
+    ACTIONS,
+    brute_coarsest,
+    canonical,
+    dense,
+    loop_coarsest,
+    naive_coarsest,
+    tolerance_chain,
+    tolerance_spread,
+)
+from test_memory import planted_text
 
 
 def chain(n: int) -> LabelledPTS:
@@ -248,3 +262,87 @@ def test_negative_entries_keep_the_result_lumpable():
     part = coarsest_bisimulation(pts)
     assert is_lumpable(pts, part)[0]
     assert part == naive_coarsest(pts)
+
+
+def test_dense_refinement_stays_within_a_small_factor_of_naive_refinement():
+    pts = gen_planted(gen_random_pts(50, ["a", "b"], 0.9, 1), [20] * 50, 2)[0]
+    naive_s = fast_s = float("inf")
+    for _ in range(3):
+        t0 = time.perf_counter()
+        slow = naive_coarsest(pts)
+        naive_s = min(naive_s, time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        part = coarsest_bisimulation(pts)
+        fast_s = min(fast_s, time.perf_counter() - t0)
+    assert part == slow
+    assert fast_s <= 4.5 * naive_s, (naive_s, fast_s)
+
+
+def noisy(pts: LabelledPTS, tol: float, rng: random.Random) -> LabelledPTS:
+    """``pts`` with every probability moved up or down by 0.3 to 3 tol."""
+    gen = np.random.default_rng(rng.randrange(2**32))
+    shift = gen.uniform(0.3, 3.0, pts.prob.size) * gen.choice((-tol, tol), pts.prob.size)
+    return LabelledPTS.from_edges(pts.n, pts.actions, pts.row, pts.dst, np.abs(pts.prob + shift))
+
+
+def parity_corpus(tol: float) -> list[LabelledPTS]:
+    """Planted, perturbed and noisy lifts, random systems and tolerance
+    chains and spreads, each with its states shuffled."""
+    rng = random.Random(31)
+    systems = []
+    for i in range(8):
+        # Where every state enables every action, refinement starts from
+        # one block, which only a noisy copy's closing probe splits.
+        density = 1.0 if i % 2 else 0.3
+        q = gen_random_pts(3 + 2 * i, ACTIONS, density, 9300 + i)
+        lift = gen_planted(q, [rng.randint(2, 6 + 4 * i) for _ in range(q.n)], 9400 + i)[0]
+        delta = (2**-20, 1e-3, 0.01)[i % 3]
+        pts = gen_random_pts(5 + 30 * i, ACTIONS, density, 9600 + i)
+        systems += [lift, perturb(lift, delta, 9500 + i), noisy(lift, tol, rng), pts, noisy(pts, tol, rng)]
+    for i in range(2):
+        # sparse lifts, whose batches reach thousands of pairs
+        pts = parse_pts(planted_text(10 + 10 * i, 40, 9800 + i))[0]
+        systems += [pts, noisy(pts, tol, rng)]
+    for i in range(6):
+        systems.append(tolerance_chain([0.5 + tol * rng.uniform(0, 4) for _ in range(6 + 6 * i)]))
+        systems.append(tolerance_spread([tol * rng.uniform(-0.9, 0.9) for _ in range(6 + 6 * i)]))
+    return [permuted(pts, rng)[0] for pts in systems]
+
+
+def test_refinement_matches_its_loop_form_bit_for_bit(monkeypatch):
+    probes = []
+    split_by = bisim._Refinement.split_by
+
+    def probed(self, batch, probe=False):
+        out = split_by(self, batch, probe)
+        if probe:
+            probes.append(out)
+        return out
+
+    monkeypatch.setattr(bisim._Refinement, "split_by", probed)
+    falls_back = 0
+    for tol in (1e-9, 1e-3, 0.05):
+        for pts in parity_corpus(tol):
+            probes.clear()
+            assert coarsest_bisimulation(pts, tol) == loop_coarsest(pts, tol)
+            falls_back += any(probes)
+    # inputs whose closing probe finds a split and runs the full pass
+    assert falls_back >= 20
+
+
+def test_closing_pass_visits_only_unchecked_blocks(monkeypatch):
+    q = gen_random_pts(30, ACTIONS, 0.2, 9700)
+    lift = permuted(gen_planted(q, [8] * 30, 9701)[0], random.Random(3))[0]
+    passes = []
+    split_by = bisim._Refinement.split_by
+
+    def counted(self, batch, **kwargs):
+        out = split_by(self, batch, **kwargs)
+        passes.append((len(batch), out))
+        return out
+
+    monkeypatch.setattr(bisim._Refinement, "split_by", counted)
+    part = coarsest_bisimulation(lift)
+    assert part == loop_coarsest(lift)
+    visited, split = passes[-1]
+    assert not split and visited < part.m, (visited, part.m)
