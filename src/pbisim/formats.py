@@ -157,7 +157,7 @@ def parse_pts(text: str, tol: float = DEFAULT_TOL) -> tuple[LabelledPTS, tuple[s
         lineno, error = lineno + len(lines), blocks[-1][2]
 
     key, prob = map(np.concatenate, list(zip(*blocks))[:2])
-    order = np.argsort(key, kind="stable")
+    order = np.argsort(key, kind="stable")  # timsort: a printed file's keys arrive nearly sorted
     key, prob = key[order], prob[order]
     repeat = order[1:][key[1:] == key[:-1]]
     if repeat.size:

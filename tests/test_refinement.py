@@ -279,7 +279,8 @@ def test_dense_refinement_stays_within_a_small_factor_of_naive_refinement():
 
 
 def noisy(pts: LabelledPTS, tol: float, rng: random.Random) -> LabelledPTS:
-    """``pts`` with every probability moved up or down by 0.3 to 3 tol."""
+    """``pts`` with every probability moved by 0.3 to 3 tol either way and
+    then taken in absolute value."""
     gen = np.random.default_rng(rng.randrange(2**32))
     shift = gen.uniform(0.3, 3.0, pts.prob.size) * gen.choice((-tol, tol), pts.prob.size)
     return LabelledPTS.from_edges(pts.n, pts.actions, pts.row, pts.dst, np.abs(pts.prob + shift))
