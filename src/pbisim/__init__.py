@@ -34,8 +34,8 @@ _EXPORTS = {
     ),
     "galois": (
         "FiniteLattice", "GaloisSpec", "KripkeStructure", "Relation",
-        "check_abstraction_basis", "check_galois", "induced_relation",
-        "is_simulation", "largest_simulation",
+        "check_abstraction_basis", "check_galois", "is_simulation",
+        "largest_simulation",
     ),
     "generators": ("gen_planted", "gen_random_pts", "perturb"),
     "matrices": (

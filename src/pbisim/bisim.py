@@ -115,8 +115,7 @@ class _Refinement:
         # masses at most this far from 0 count as absent
         self.absent = tol / 2 if (self.prob < 0).any() else tol
 
-        _, first = np.unique(pts.enabled_rows().T, axis=0, return_inverse=True)
-        self.block_of = first.reshape(n).astype(np.intp)
+        self.block_of = pts.enabled_blocks().astype(np.intp)
         m0 = int(self.block_of.max()) + 1
         self.size = np.zeros(n, dtype=np.intp)
         self.size[:m0] = np.bincount(self.block_of)

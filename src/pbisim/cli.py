@@ -28,7 +28,8 @@ import traceback
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import __version__
-from .errors import DEFAULT_TOL, BudgetExceededError, ParseError, PbisimError
+from .errors import DEFAULT_PAIR_BUDGET, DEFAULT_TOL, NORM_KINDS
+from .errors import BudgetExceededError, ParseError, PbisimError
 from .formats import (
     parse_classification,
     parse_galois,
@@ -433,15 +434,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("epsilon", help="approximate bisimilarity distance")
     p.add_argument("system1", type=source)
     p.add_argument("system2", type=source)
-    p.add_argument("--norm", choices=["op-inf", "entry-max", "frobenius"],
-                   default="op-inf")
+    p.add_argument("--norm", choices=NORM_KINDS, default="op-inf")
     grp = p.add_mutually_exclusive_group()
     grp.add_argument("--exact", action="store_true",
                      help="exhaustive minimisation (default)")
     grp.add_argument("--budget", type=_at_least_one, default=None,
                      help="hill-climbing search with this many proposals")
     p.add_argument("--seed", type=int, default=0, help="search seed")
-    p.add_argument("--pair-cap", type=_at_least_one, default=10_000_000,
+    p.add_argument("--pair-cap", type=_at_least_one, default=DEFAULT_PAIR_BUDGET,
                    help="abort exhaustive mode above this many pairs")
     p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     add_common(p)

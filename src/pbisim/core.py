@@ -94,6 +94,11 @@ class LabelledPTS:
             self._on.setflags(write=False)
         return self._on
 
+    def enabled_blocks(self) -> np.ndarray:
+        """Each state's block in the partition by enabled actions: blocks
+        numbered in lexicographic order of their ``enabled_rows`` column."""
+        return np.unique(self.enabled_rows().T, axis=0, return_inverse=True)[1].reshape(self.n)
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, LabelledPTS):
             return NotImplemented

@@ -49,10 +49,9 @@ import numpy as np
 
 from .core import Classification, DEFAULT_TOL, LabelledPTS, union_actions
 from .errors import MAX_DIGITS, BudgetExceededError, ClassCountMismatchError, InvalidRangeError
-from .errors import DimensionMismatchError
+from .errors import DEFAULT_PAIR_BUDGET, DimensionMismatchError
 from .matrices import class_masses, is_lumpable, lumped, matrix_norm, sum_by_key, table_norm
 
-DEFAULT_PAIR_BUDGET = 10_000_000
 EPS = float(np.finfo(float).eps)
 
 
@@ -194,9 +193,12 @@ def lumping_hull(
     n = pts.n
     scale = max(1.0, float(np.bincount(pts.row, weights=np.abs(pts.prob)).max(initial=0.0)))
     tau = 2 * n * tol + 8 * (n + 1) ** 2 * EPS * scale
-    block = np.unique(pts.enabled_rows().T, axis=0, return_inverse=True)[1].reshape(-1)
+    block = pts.enabled_blocks()
     while limit is None or block.max() < limit:
-        _, table = class_masses(pts, block, int(block.max()) + 1, dense=True)
+        m = int(block.max()) + 1
+        key, mass = class_masses(pts, block, m)
+        table = np.zeros((len(pts.actions), n, m))
+        table.reshape(-1)[key] = mass
         keys = [block]
         for col in table.transpose(1, 0, 2).reshape(n, -1).T:
             order = np.lexsort((col, block))

@@ -9,8 +9,11 @@ import math
 # Counts of more decimal digits than this are reported approximately:
 # Python's default limit refuses to turn them into text.
 MAX_DIGITS = 4300
-# Here, not in core, so that the command line and the parsers need not load core.
+# Here, not in core, matrices or epsilon, so that the command line and the
+# parsers need not load them.
 DEFAULT_TOL = 1e-9
+DEFAULT_PAIR_BUDGET = 10_000_000
+NORM_KINDS = ("op-inf", "entry-max", "frobenius")
 
 
 class PbisimError(Exception):
@@ -90,15 +93,6 @@ class BudgetExceededError(PbisimError):
         super().__init__(
             f"exhaustive search needs {count} classification pairs, "
             f"budget is {budget}"
-        )
-
-
-class CarrierTooLargeError(ValidationError):
-    def __init__(self, concrete_n: int, cap: int):
-        self.concrete_n = concrete_n
-        self.cap = cap
-        super().__init__(
-            f"powerset of {concrete_n} concrete states exceeds the cap of {cap}"
         )
 
 

@@ -21,8 +21,7 @@ user-supplied.  The checker can also verify an explicitly tabulated
 abstraction map, which is how inconsistent (hand-built) tables are rejected.
 Lattice join and meet tables come from the closed order one row at a time
 (O(size^3) work in O(size^2) memory).  The basis check tests one subset per
-lattice element; only ``alpha_join_table`` and ``induced_relation`` tabulate
-all 2^n subsets, up to ``DEFAULT_CONCRETE_CAP`` states.
+lattice element; only an explicit abstraction table has one entry per subset.
 """
 
 from __future__ import annotations
@@ -33,9 +32,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import CarrierTooLargeError, NotALatticeError, ValidationError
-
-DEFAULT_CONCRETE_CAP = 16
+from .errors import NotALatticeError, ValidationError
 
 
 def _indptr(keys: np.ndarray, n: int) -> np.ndarray:
@@ -298,26 +295,6 @@ class GaloisSpec:
                 raise ValidationError(f"alpha({c}) = {e} is not a lattice element")
 
 
-def _alpha_table(g: GaloisSpec, cap: int) -> np.ndarray:
-    if g.concrete_n > cap:
-        raise CarrierTooLargeError(g.concrete_n, cap)
-    table = np.array([g.lattice.bottom])
-    for image in g.alpha_singleton:
-        table = np.concatenate((table, g.lattice.join_table[table, image]))
-    return table
-
-
-def alpha_join_table(g: GaloisSpec, cap: int = DEFAULT_CONCRETE_CAP) -> list[int]:
-    """Abstraction of every subset (indexed by bitmask) via join extension.
-
-    Built by doubling: the subsets whose highest state is k are the subsets
-    below 2^k with k added, so ``table[2^k : 2^(k+1)]`` is
-    ``join(table[:2^k], alpha(k))``.  Lattice join is associative and
-    commutative, so every entry is the join of its singleton images.
-    """
-    return _alpha_table(g, cap).tolist()
-
-
 @dataclass(frozen=True)
 class GaloisViolation:
     """First failed condition of a Galois-connection check.
@@ -339,14 +316,15 @@ class GaloisViolation:
 def check_galois(
     g: GaloisSpec, alpha_table: Sequence[int] | None = None
 ) -> tuple[bool, GaloisViolation | None]:
-    """Verify the adjunction over the full (finite) powerset.
+    """Verify the adjunction of ``g``, or of an explicit abstraction table.
 
-    Checks monotonicity of the abstraction table and of the derived
-    concretisation, and the two composite inequalities.  The default
-    join-extended table meets them by construction (alpha(S) is below e iff
-    every singleton image in S is, iff S lies inside gamma(e)), so nothing
-    is built; an explicit ``alpha_table`` (one abstract element per subset
-    bitmask) is verified, and its first violation is reported.
+    The conditions are monotonicity of the abstraction table and of the
+    derived concretisation, and the two composite inequalities.  The
+    join-extended table of ``g`` meets them by construction (alpha(S) is
+    below e iff every singleton image in S is, iff S lies inside gamma(e)),
+    so without ``alpha_table`` nothing is built.  An explicit
+    ``alpha_table`` (one abstract element per subset bitmask, 2^n entries)
+    is verified, and its first violation is reported.
     """
     if alpha_table is None:
         return True, None
@@ -386,21 +364,6 @@ def check_galois(
     return True, None
 
 
-def induced_relation(
-    g: GaloisSpec,
-    element_filter: Iterable[int] | None = None,
-    cap: int = DEFAULT_CONCRETE_CAP,
-) -> list[tuple[int, int]]:
-    """Pairs (subset bitmask, abstract element) with alpha(S) below the element."""
-    table = _alpha_table(g, cap)
-    elems = np.array(
-        sorted(element_filter) if element_filter is not None else range(g.lattice.size),
-        dtype=np.intp,
-    )
-    masks, cols = np.nonzero(g.lattice._leq[table][:, elems])
-    return list(zip(masks.tolist(), elems[cols].tolist()))
-
-
 def check_abstraction_basis(
     c: KripkeStructure,
     a: KripkeStructure,
@@ -414,8 +377,8 @@ def check_abstraction_basis(
     restricted to non-empty posts.  For every subset S and abstract
     element e with alpha(S) below e and post(S) non-empty there must be an
     abstract edge from e's state to some a' with alpha(post(S)) below a'.
-    Requires a prior successful ``check_galois``; returns the smallest
-    violating (subset bitmask, element index) otherwise.
+    Returns ``(True, None)`` or the smallest violating (subset bitmask,
+    element index).
 
     alpha(S) is below e iff S lies inside gamma(e), and a larger S has a
     larger post, which fewer elements cover: the violating subsets at e are

@@ -21,9 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Classification, LabelledPTS, DEFAULT_TOL
-from .errors import DimensionMismatchError, NotClassificationMatrixError
-
-NORM_KINDS = ("op-inf", "entry-max", "frobenius")
+from .errors import NORM_KINDS, DimensionMismatchError, NotClassificationMatrixError
 
 
 def classification_matrix(c: Classification, n: int | None = None) -> np.ndarray:
@@ -157,24 +155,16 @@ def sum_by_key(key: np.ndarray, values: np.ndarray, order=None) -> tuple[np.ndar
     return key[head], np.bincount(np.cumsum(head) - 1, weights=values[order])
 
 
-def class_masses(
-    pts: LabelledPTS, assign: np.ndarray, m: int, dense: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
+def class_masses(pts: LabelledPTS, assign: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Every state's total mass into every class on every action: ``M K``.
 
     ``assign`` maps states to the classes ``0..m-1``.  Returns ``(key,
     mass)`` with ``key = (i * n + state) * m + class`` for the ``i``-th
     action, ascending, one entry per triple that some edge connects; absent
-    triples have mass 0.  With ``dense``, returns ``(None, table)``, the
-    masses of all triples as an (actions, n, m) array.  Either way each
-    mass is summed over the state's edges into the class in ascending
-    target order.  O(E log E) for E edges; ``dense`` adds O(n m) per action.
+    triples have mass 0.  Each mass is summed over the state's edges into
+    the class in ascending target order.  O(E log E) for E edges.
     """
-    key = pts.row * m + assign[pts.dst]
-    if dense:
-        size = len(pts.actions) * pts.n * m
-        return None, np.bincount(key, weights=pts.prob, minlength=size).reshape(-1, pts.n, m)
-    return sum_by_key(key, pts.prob)
+    return sum_by_key(pts.row * m + assign[pts.dst], pts.prob)
 
 
 def lumped(pts: LabelledPTS, assign: np.ndarray, m: int) -> LabelledPTS:

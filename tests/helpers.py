@@ -36,7 +36,6 @@ from pbisim import (
 )
 from pbisim.core import DEFAULT_TOL
 from pbisim.errors import (
-    CarrierTooLargeError,
     DimensionMismatchError,
     EmptyActionSetError,
     NegativeEntryError,
@@ -47,7 +46,7 @@ from pbisim.errors import (
     UnknownNameError,
     ValidationError,
 )
-from pbisim.galois import DEFAULT_CONCRETE_CAP, GaloisSpec, GaloisViolation
+from pbisim.galois import GaloisSpec, GaloisViolation
 from pbisim.matrices import (
     LumpabilityViolation,
     classification_matrix,
@@ -792,10 +791,8 @@ def naive_lattice_tables(size: int, leq) -> tuple[np.ndarray, np.ndarray, int, i
     return join_table, meet_table, fold(join_table), fold(meet_table)
 
 
-def naive_alpha_join_table(g: GaloisSpec, cap: int = DEFAULT_CONCRETE_CAP) -> list[int]:
+def naive_alpha_join_table(g: GaloisSpec) -> list[int]:
     """Abstraction of every subset, one bitmask at a time by its lowest state."""
-    if g.concrete_n > cap:
-        raise CarrierTooLargeError(g.concrete_n, cap)
     size = 1 << g.concrete_n
     table = [g.lattice.bottom] * size
     for mask in range(1, size):
@@ -815,15 +812,11 @@ def _naive_derived_gamma(g: GaloisSpec, table) -> list[int]:
     return out
 
 
-def naive_check_galois(
-    g: GaloisSpec, alpha_table=None, cap: int = DEFAULT_CONCRETE_CAP
-) -> tuple[bool, GaloisViolation | None]:
+def naive_check_galois(g: GaloisSpec, alpha_table=None) -> tuple[bool, GaloisViolation | None]:
     """Adjunction conditions checked subset by subset and element by element."""
-    if g.concrete_n > cap:
-        raise CarrierTooLargeError(g.concrete_n, cap)
     size = 1 << g.concrete_n
     if alpha_table is None:
-        table = naive_alpha_join_table(g, cap)
+        table = naive_alpha_join_table(g)
     else:
         table = list(alpha_table)
         if len(table) != size:
@@ -856,9 +849,9 @@ def naive_check_galois(
     return True, None
 
 
-def naive_induced_relation(g: GaloisSpec, element_filter=None, cap: int = DEFAULT_CONCRETE_CAP):
+def naive_induced_relation(g: GaloisSpec, element_filter=None):
     """Pairs (subset bitmask, element) with alpha(S) below the element, in loop order."""
-    table = naive_alpha_join_table(g, cap)
+    table = naive_alpha_join_table(g)
     elems = sorted(element_filter) if element_filter is not None else range(g.lattice.size)
     return [
         (mask, e)
@@ -873,7 +866,6 @@ def naive_check_abstraction_basis(
     a: KripkeStructure,
     g: GaloisSpec,
     state_of_element=None,
-    cap: int = DEFAULT_CONCRETE_CAP,
 ) -> tuple[bool, tuple[int, int] | None]:
     """Strongest-post basis check subset by subset, element by element."""
     if state_of_element is None:
@@ -883,7 +875,7 @@ def naive_check_abstraction_basis(
                 f"{g.lattice.size} elements; provide state_of_element"
             )
         state_of_element = list(range(g.lattice.size))
-    table = naive_alpha_join_table(g, cap)
+    table = naive_alpha_join_table(g)
     post_of_state = [0] * g.concrete_n
     for x, y in as_set(c.edges):
         post_of_state[x] |= 1 << y

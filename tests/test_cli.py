@@ -178,7 +178,7 @@ def test_the_package_resolves_every_public_name_lazily():
 
     import pbisim
 
-    assert len(pbisim.__all__) == len(set(pbisim.__all__)) == 32
+    assert len(pbisim.__all__) == len(set(pbisim.__all__)) == 31
     for name in pbisim.__all__:
         obj = getattr(pbisim, name)
         assert getattr(importlib.import_module(obj.__module__), name) is obj

@@ -19,19 +19,16 @@ from pbisim import (
     Relation,
     check_abstraction_basis,
     check_galois,
-    induced_relation,
     is_simulation,
     largest_simulation,
 )
 from pbisim.errors import NotALatticeError, ValidationError
-from pbisim.galois import alpha_join_table
 
 from helpers import (
     as_set,
     naive_alpha_join_table,
     naive_check_abstraction_basis,
     naive_check_galois,
-    naive_induced_relation,
     naive_is_simulation,
     naive_lattice_tables,
     naive_largest_simulation,
@@ -165,17 +162,6 @@ def test_lattice_range_errors_match():
 
 
 # --- Galois connections -----------------------------------------------------
-
-
-def test_join_tables_and_induced_relations_match():
-    rng = random.Random(4)
-    for lat in lattices(4, 60):
-        g = spec(rng, lat, rng.randint(1, 6))
-        assert alpha_join_table(g) == naive_alpha_join_table(g)
-        assert check_galois(g) == naive_check_galois(g) == (True, None)
-        elems = rng.sample(range(lat.size), rng.randint(0, lat.size))
-        assert induced_relation(g) == naive_induced_relation(g)
-        assert induced_relation(g, elems) == naive_induced_relation(g, elems)
 
 
 def test_explicit_alpha_tables_give_the_same_violation():

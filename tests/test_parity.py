@@ -133,22 +133,20 @@ def test_disjoint_union_matches_dense(corpus):
         assert fast.actions == slow.actions
 
 
-@pytest.mark.parametrize("table", ["dense", "sparse"])
+@pytest.mark.parametrize("table", ["sparse"])
 @pytest.mark.parametrize("corpus", ["dyadic", "fraction"])
 def test_lumpability_and_quotient_match_dense(corpus, table):
-    # ``table`` picks the form of the class masses M K checked here: the
-    # (actions, n, m) array exact epsilon reads, or the keyed entries
-    # is_lumpable and the quotient read
+    # ``table`` names the form of the class masses M K checked here: the
+    # keyed entries that is_lumpable, the quotient and the lumping hull read
     systems = DYADIC if corpus == "dyadic" else FRACTION
     rng = random.Random(17)
     worst = 0.0
     seen = {True: 0, False: 0}
     for pts in systems:
         for c in classifications(pts, rng):
-            key, got = class_masses(pts, np.asarray(c.assign), c.m, dense=table == "dense")
-            if table == "sparse":
-                assert np.all(np.diff(key) > 0)
-                got = np.bincount(key, weights=got, minlength=len(pts.actions) * pts.n * c.m)
+            key, got = class_masses(pts, np.asarray(c.assign), c.m)
+            assert np.all(np.diff(key) > 0)
+            got = np.bincount(key, weights=got, minlength=len(pts.actions) * pts.n * c.m)
             got = got.reshape(-1, pts.n, c.m)
             want = np.array([dense(pts)[a] @ classification_matrix(c) for a in pts.actions])
             if corpus == "dyadic":
