@@ -377,8 +377,8 @@ def check_abstraction_basis(
     restricted to non-empty posts.  For every subset S and abstract
     element e with alpha(S) below e and post(S) non-empty there must be an
     abstract edge from e's state to some a' with alpha(post(S)) below a'.
-    Returns ``(True, None)`` or the smallest violating (subset bitmask,
-    element index).
+    Returns ``(True, None)``, or ``False`` with the smallest violating
+    (subset bitmask, element index).
 
     alpha(S) is below e iff S lies inside gamma(e), and a larger S has a
     larger post, which fewer elements cover: the violating subsets at e are
