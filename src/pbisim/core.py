@@ -95,9 +95,12 @@ class LabelledPTS:
         return self._on
 
     def enabled_blocks(self) -> np.ndarray:
-        """Each state's block in the partition by enabled actions: blocks
-        numbered in lexicographic order of their ``enabled_rows`` column."""
-        return np.unique(self.enabled_rows().T, axis=0, return_inverse=True)[1].reshape(self.n)
+        """Each state's block in the partition by enabled actions, numbered
+        in lexicographic order of the ``enabled_rows`` columns (action 0 first)."""
+        block = np.zeros(self.n, dtype=np.int64)
+        for on in self.enabled_rows():
+            block = np.unique(2 * block + on, return_inverse=True)[1]
+        return block
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LabelledPTS):

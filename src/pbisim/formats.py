@@ -2,7 +2,11 @@
 
 All formats share the same lexical rules: '#' starts a comment running to
 the end of the line, blank lines are ignored, and tokens are separated by
-whitespace.  Parsers report 1-based line numbers in every diagnostic.
+whitespace.  A declaration keyword (``states:``, ``actions:``,
+``abstract:``) is given on one line at most, with distinct names, and
+every name a line refers to must be declared (``alpha:`` lines introduce
+concrete states).  Every diagnostic gives a 1-based line; of several
+undeclared names, the first in line order is reported.
 
 System format (.pts)::
 
@@ -49,6 +53,26 @@ def _lines(text: str):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield lineno, line
+
+
+# keyword: (what a repeated name is, what the line must declare one of, if any)
+_DECLARATIONS = {"states": ("state name", "states"), "actions": ("action label", None),
+                 "abstract": ("abstract element", "elements")}
+
+
+def _declared(line: str, seen: list[str] | None, lineno: int) -> list[str]:
+    """The names of a declaration line ``keyword: name ...``; ``seen`` is
+    the names of an earlier such line, None if there was none."""
+    keyword, rest = line.split(":", 1)
+    if seen is not None:
+        raise ParseError(f"duplicate {keyword}: line", lineno)
+    names = rest.split()
+    what, required = _DECLARATIONS[keyword]
+    if required and not names:
+        raise ParseError(f"{keyword}: line declares no {required}", lineno)
+    if len(set(names)) != len(names):
+        raise ParseError(f"duplicate {what}", lineno)
+    return names
 
 
 _CHUNK = 1 << 20  # characters of transition lines per piece
@@ -121,19 +145,9 @@ def parse_pts(text: str, tol: float = DEFAULT_TOL) -> tuple[LabelledPTS, tuple[s
         match = _LINE.match(text, pos)
         line, pos, lineno = match[1].split("#", 1)[0].strip(), match.end(), lineno + 1
         if line.startswith("states:"):
-            if names is not None:
-                raise ParseError("duplicate states: line", lineno)
-            names = line[len("states:") :].split()
-            if not names:
-                raise ParseError("states: line declares no states", lineno)
-            if len(set(names)) != len(names):
-                raise ParseError("duplicate state name", lineno)
+            names = _declared(line, names, lineno)
         elif line.startswith("actions:"):
-            if actions is not None:
-                raise ParseError("duplicate actions: line", lineno)
-            actions = line[len("actions:") :].split()
-            if len(set(actions)) != len(actions):
-                raise ParseError("duplicate action label", lineno)
+            actions = _declared(line, actions, lineno)
         elif line:
             raise _read_lines([line], lineno, dict.fromkeys(names or ()), {})[2]
     if names is None or actions is None:
@@ -167,8 +181,7 @@ def parse_pts(text: str, tol: float = DEFAULT_TOL) -> tuple[LabelledPTS, tuple[s
         raise ParseError("duplicate transition " + " ".join(line.split()[:3]), lineno)
     if error is not None:
         raise error
-    row, dst = np.divmod(key, n)
-    pts = LabelledPTS.from_edges(n, actions, row, dst, prob)
+    pts = LabelledPTS.from_edges(n, actions, *np.divmod(key, n), prob)
     validate_pts(pts, tol)
     return pts, tuple(names)
 
@@ -199,19 +212,19 @@ def parse_classification(text: str, names: tuple[str, ...]) -> Classification:
 
     index = {s: i for i, s in enumerate(names)}
     assign: dict[int, int] = {}
-    for lineno, line in _lines(text):
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError("expected 'state class-index'", lineno)
-        name, cls = parts
-        if name not in index:
-            raise UnknownNameError(name, lineno)
-        if index[name] in assign:
-            raise ParseError(f"state {name!r} classified twice", lineno)
-        try:
+    try:
+        for lineno, line in _lines(text):
+            parts = line.split()
+            if len(parts) != 2:
+                raise ParseError("expected 'state class-index'", lineno)
+            name, cls = parts
+            if index[name] in assign:
+                raise ParseError(f"state {name!r} classified twice", lineno)
             assign[index[name]] = int(cls)
-        except ValueError:
-            raise ParseError(f"bad class index {cls!r}", lineno) from None
+    except KeyError as missing:
+        raise UnknownNameError(missing.args[0], lineno) from None
+    except ValueError:
+        raise ParseError(f"bad class index {cls!r}", lineno) from None
     missing = [s for s in names if index[s] not in assign]
     if missing:
         raise ParseError(f"state {missing[0]!r} has no class", None)
@@ -229,36 +242,23 @@ def parse_kripke(text: str) -> tuple[KripkeStructure, tuple[str, ...]]:
     from .galois import KripkeStructure
 
     names: list[str] | None = None
-    marked: list[int] = []
-    src_of: list[int] = []
-    dst_of: list[int] = []
+    marked, src_of, dst_of = [], [], []
     index: dict[str, int] = {}
-    for lineno, line in _lines(text):
-        if line.startswith("states:"):
-            if names is not None:
-                raise ParseError("duplicate states: line", lineno)
-            names = line[len("states:") :].split()
-            if not names:
-                raise ParseError("states: line declares no states", lineno)
-            if len(set(names)) != len(names):
-                raise ParseError("duplicate state name", lineno)
-            index = {s: i for i, s in enumerate(names)}
-        elif line.startswith("marked:"):
-            for tok in line[len("marked:") :].split():
-                if tok not in index:
-                    raise UnknownNameError(tok, lineno)
-                marked.append(index[tok])
-        else:
-            parts = line.split()
-            if len(parts) != 3 or parts[1] != "->":
-                raise ParseError("expected 'src -> dst'", lineno)
-            src, _, dst = parts
-            if src not in index:
-                raise UnknownNameError(src, lineno)
-            if dst not in index:
-                raise UnknownNameError(dst, lineno)
-            src_of.append(index[src])
-            dst_of.append(index[dst])
+    try:
+        for lineno, line in _lines(text):
+            if line.startswith("states:"):
+                names = _declared(line, names, lineno)
+                index = {s: i for i, s in enumerate(names)}
+            elif line.startswith("marked:"):
+                marked += [index[tok] for tok in line[len("marked:") :].split()]
+            else:
+                parts = line.split()
+                if len(parts) != 3 or parts[1] != "->":
+                    raise ParseError("expected 'src -> dst'", lineno)
+                src_of.append(index[parts[0]])
+                dst_of.append(index[parts[2]])
+    except KeyError as missing:
+        raise UnknownNameError(missing.args[0], lineno) from None
     if names is None:
         raise ParseError("missing states: line", 1)
     return KripkeStructure(len(names), np.array([src_of, dst_of], dtype=np.int64).T, marked), tuple(names)
@@ -270,8 +270,7 @@ def print_kripke(k: KripkeStructure, names: tuple[str, ...] | None = None) -> st
     out = ["states: " + " ".join(names)]
     if k.marked.size:
         out.append("marked: " + " ".join(names[s] for s in k.marked.tolist()))
-    for a, b in k.edges.tolist():
-        out.append(f"{names[a]} -> {names[b]}")
+    out += [f"{names[a]} -> {names[b]}" for a, b in k.edges.tolist()]
     return "\n".join(out) + "\n"
 
 
@@ -282,19 +281,16 @@ def parse_relation(
 
     c_index = {s: i for i, s in enumerate(c_names)}
     a_index = {s: i for i, s in enumerate(a_names)}
-    c_of: list[int] = []
-    a_of: list[int] = []
-    for lineno, line in _lines(text):
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError("expected 'concrete abstract'", lineno)
-        c, a = parts
-        if c not in c_index:
-            raise UnknownNameError(c, lineno)
-        if a not in a_index:
-            raise UnknownNameError(a, lineno)
-        c_of.append(c_index[c])
-        a_of.append(a_index[a])
+    c_of, a_of = [], []
+    try:
+        for lineno, line in _lines(text):
+            parts = line.split()
+            if len(parts) != 2:
+                raise ParseError("expected 'concrete abstract'", lineno)
+            c_of.append(c_index[parts[0]])
+            a_of.append(a_index[parts[1]])
+    except KeyError as missing:
+        raise UnknownNameError(missing.args[0], lineno) from None
     return Relation(np.array([c_of, a_of], dtype=np.int64).T)
 
 
@@ -311,49 +307,33 @@ def parse_galois(text: str) -> tuple[GaloisSpec, tuple[str, ...], tuple[str, ...
     abstract: list[str] | None = None
     a_index: dict[str, int] = {}
     leq_pairs: list[tuple[int, int]] = []
-    concrete: list[str] = []
-    c_index: dict[str, int] = {}
-    alpha: dict[int, int] = {}
-
-    for lineno, line in _lines(text):
-        if line.startswith("abstract:"):
-            if abstract is not None:
-                raise ParseError("duplicate abstract: line", lineno)
-            abstract = line[len("abstract:") :].split()
-            if not abstract:
-                raise ParseError("abstract: line declares no elements", lineno)
-            if len(set(abstract)) != len(abstract):
-                raise ParseError("duplicate abstract element", lineno)
-            a_index = {s: i for i, s in enumerate(abstract)}
-        elif line.startswith("leq:"):
-            parts = line[len("leq:") :].split()
-            if len(parts) != 3 or parts[1] != "<=":
-                raise ParseError("expected 'leq: x <= y'", lineno)
-            x, _, y = parts
-            if x not in a_index:
-                raise UnknownNameError(x, lineno)
-            if y not in a_index:
-                raise UnknownNameError(y, lineno)
-            leq_pairs.append((a_index[x], a_index[y]))
-        elif line.startswith("alpha:"):
-            parts = line[len("alpha:") :].split()
-            if len(parts) != 2:
-                raise ParseError("expected 'alpha: state element'", lineno)
-            state, elem = parts
-            if elem not in a_index:
-                raise UnknownNameError(elem, lineno)
-            if state in c_index:
-                raise ParseError(f"alpha for {state!r} given twice", lineno)
-            c_index[state] = len(concrete)
-            concrete.append(state)
-            alpha[c_index[state]] = a_index[elem]
-        else:
-            raise ParseError(f"unrecognised line {line!r}", lineno)
+    alpha: dict[str, int] = {}  # concrete state: its element, in order of appearance
+    try:
+        for lineno, line in _lines(text):
+            if line.startswith("abstract:"):
+                abstract = _declared(line, abstract, lineno)
+                a_index = {s: i for i, s in enumerate(abstract)}
+            elif line.startswith("leq:"):
+                parts = line[len("leq:") :].split()
+                if len(parts) != 3 or parts[1] != "<=":
+                    raise ParseError("expected 'leq: x <= y'", lineno)
+                leq_pairs.append((a_index[parts[0]], a_index[parts[2]]))
+            elif line.startswith("alpha:"):
+                parts = line[len("alpha:") :].split()
+                if len(parts) != 2:
+                    raise ParseError("expected 'alpha: state element'", lineno)
+                elem = a_index[parts[1]]
+                if parts[0] in alpha:
+                    raise ParseError(f"alpha for {parts[0]!r} given twice", lineno)
+                alpha[parts[0]] = elem
+            else:
+                raise ParseError(f"unrecognised line {line!r}", lineno)
+    except KeyError as missing:
+        raise UnknownNameError(missing.args[0], lineno) from None
 
     if abstract is None:
         raise ParseError("missing abstract: line", 1)
-    if not concrete:
+    if not alpha:
         raise ParseError("no alpha: lines", 1)
     lattice = FiniteLattice(len(abstract), leq_pairs)
-    spec = GaloisSpec(len(concrete), lattice, tuple(alpha[i] for i in range(len(concrete))))
-    return spec, tuple(concrete), tuple(abstract)
+    return GaloisSpec(len(alpha), lattice, tuple(alpha.values())), tuple(alpha), tuple(abstract)

@@ -148,3 +148,16 @@ def test_every_construction_route_yields_one_canonical_table():
         assert ((pts.row >= 0) & (pts.row < len(pts.actions) * pts.n)).all(), route
         assert ((pts.dst >= 0) & (pts.dst < pts.n)).all(), route
         assert (np.diff(key) > 0).all(), route  # sorted by (row, dst), no repeats
+
+
+@pytest.mark.parametrize("actions", [0, 1, 2, 70])
+def test_enabled_blocks_are_numbered_as_a_row_wise_unique(actions):
+    rng = np.random.default_rng(actions)
+    for n in (1, 2, 9, 300):
+        palette = rng.random((1 + n // 3, actions)) < 0.5  # so that states share patterns
+        on = palette[rng.integers(len(palette), size=n)].T
+        a, s = np.nonzero(on)
+        pts = LabelledPTS.from_edges(n, [f"a{i}" for i in range(actions)], a * n + s, s, np.ones(s.size))
+        assert (pts.enabled_rows() == on).all()
+        expected = np.unique(on.T, axis=0, return_inverse=True)[1].reshape(n)
+        assert pts.enabled_blocks().tolist() == expected.tolist()

@@ -260,6 +260,14 @@ def test_every_lumping_refines_the_hull():
     assert admitted >= 150 and outside >= 3000
 
 
+def test_the_class_cap_stops_the_hull_of_a_long_chain():
+    # a 600-state chain against one state has one pair to score, but its
+    # uncapped hull would take about 600 rounds
+    n = 600
+    chain = LabelledPTS.from_edges(n, ["a"], np.arange(n - 1), np.arange(1, n), np.ones(n - 1))
+    assert lumping_hull(chain, DEFAULT_TOL, 1).m == 2
+
+
 def test_exact_self_distance_outpaces_the_full_scan():
     q = gen_random_pts(3, ["a", "b"], 0.8, 17)
     lift, _ = gen_planted(q, [3, 3, 2], 18)

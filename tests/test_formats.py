@@ -166,3 +166,60 @@ def test_parse_galois_unknown_element():
     with pytest.raises(UnknownNameError) as exc:
         parse_galois("abstract: bot\nalpha: c0 top\n")
     assert exc.value.line == 2
+
+
+PTS_HEAD = "states: s0\nactions: a\n"
+READERS = {
+    "pts": lambda text: parse_pts(text),
+    "kripke": parse_kripke,
+    "rel": lambda text: parse_relation(text, ("c0",), ("a0",)),
+    "cls": lambda text: parse_classification(text, ("s0", "s1")),
+    "galois": parse_galois,
+}
+DIAGNOSTICS = [
+    # declaration lines: one per keyword, distinct names, at least one where required
+    ("pts", "states: s0\nstates: s1\nactions: a\n", ParseError, 2, "duplicate states: line"),
+    ("pts", "actions: a\nactions: b\nstates: s0\n", ParseError, 2, "duplicate actions: line"),
+    ("pts", PTS_HEAD + "s0 a s0 1\nactions: b\n", ParseError, 4, "duplicate actions: line"),
+    ("pts", "actions: a\nstates:  # none\n", ParseError, 2, "states: line declares no states"),
+    ("pts", "states: s0 s1 s0\nactions: a\n", ParseError, 1, "duplicate state name"),
+    ("pts", "states: s0\nactions: a b a\n", ParseError, 2, "duplicate action label"),
+    ("kripke", "states: c0\nstates: c1\n", ParseError, 2, "duplicate states: line"),
+    ("kripke", "# none\nstates:\n", ParseError, 2, "states: line declares no states"),
+    ("kripke", "states: c0 c0\n", ParseError, 1, "duplicate state name"),
+    ("galois", "abstract: a\nabstract: b\n", ParseError, 2, "duplicate abstract: line"),
+    ("galois", "abstract:\n", ParseError, 1, "abstract: line declares no elements"),
+    ("galois", "abstract: a b a\n", ParseError, 1, "duplicate abstract element"),
+    # unknown names: the first in line order, at its line
+    ("pts", PTS_HEAD + "x b y 1\n", UnknownNameError, 3, "unknown name 'x'"),
+    ("pts", PTS_HEAD + "s0 b y 1\n", UnknownNameError, 3, "unknown name 'b'"),
+    ("pts", PTS_HEAD + "s0 a y 1\n", UnknownNameError, 3, "unknown name 'y'"),
+    ("pts", "x a s0 1\nstates: s0\nactions: a\n", UnknownNameError, 1, "unknown name 'x'"),
+    ("pts", "states: s0\ns0 a s0 1\nactions: a\n", UnknownNameError, 2, "unknown name 'a'"),
+    ("kripke", "states: c0\nx -> y\n", UnknownNameError, 2, "unknown name 'x'"),
+    ("kripke", "states: c0\nc0 -> y\n", UnknownNameError, 2, "unknown name 'y'"),
+    ("kripke", "c0 -> c0\nstates: c0\n", UnknownNameError, 1, "unknown name 'c0'"),
+    ("kripke", "states: c0\nmarked: c0 x y\n", UnknownNameError, 2, "unknown name 'x'"),
+    ("rel", "c0 a0\nx y\n", UnknownNameError, 2, "unknown name 'x'"),
+    ("rel", "c0 y\n", UnknownNameError, 1, "unknown name 'y'"),
+    ("rel", "a0 c0\n", UnknownNameError, 1, "unknown name 'a0'"),
+    ("cls", "s0 0\nx 1\n", UnknownNameError, 2, "unknown name 'x'"),
+    ("cls", "x y\n", UnknownNameError, 1, "unknown name 'x'"),
+    ("cls", "s0 0\ns0 1\n", ParseError, 2, "state 's0' classified twice"),
+    ("galois", "abstract: a\nleq: x <= y\n", UnknownNameError, 2, "unknown name 'x'"),
+    ("galois", "abstract: a\nleq: a <= y\n", UnknownNameError, 2, "unknown name 'y'"),
+    ("galois", "leq: a <= a\nabstract: a\n", UnknownNameError, 1, "unknown name 'a'"),
+    ("galois", "abstract: a\nalpha: c0 x\n", UnknownNameError, 2, "unknown name 'x'"),
+    # an alpha: line's element is looked up before the repeat check
+    ("galois", "abstract: a\nalpha: c0 a\nalpha: c0 x\n", UnknownNameError, 3, "unknown name 'x'"),
+    ("galois", "abstract: a\nalpha: c0 a\nalpha: c0 a\n", ParseError, 3, "alpha for 'c0' given twice"),
+]
+
+
+@pytest.mark.parametrize("reader, text, kind, line, message", DIAGNOSTICS)
+def test_reader_diagnostics_keep_their_type_message_and_line(reader, text, kind, line, message):
+    with pytest.raises(ParseError) as exc:
+        READERS[reader](text)
+    assert type(exc.value) is kind
+    assert exc.value.line == line
+    assert str(exc.value) == f"line {line}: {message}"
