@@ -5,8 +5,8 @@ the end of the line, blank lines are ignored, and tokens are separated by
 whitespace.  A declaration keyword (``states:``, ``actions:``,
 ``abstract:``) is given on one line at most, with distinct names, and
 every name a line refers to must be declared (``alpha:`` lines introduce
-concrete states).  Every diagnostic gives a 1-based line; of several
-undeclared names, the first in line order is reported.
+concrete states).  A diagnostic about a line gives its 1-based number; of
+several undeclared names, the first in line order is reported.
 
 System format (.pts)::
 
