@@ -136,15 +136,9 @@ def enumerate_classifications(
     yield from rec(0, 0)
 
 
-def pair_budget(n1: int, n2: int) -> int:
-    """A-priori size of the exhaustive search space over both systems."""
-    k = min(n1, n2)
-    r1, r2 = _stirling_row(n1, k), _stirling_row(n2, k)
-    return sum(r1[m] * r2[m] * math.factorial(m) for m in range(1, k + 1))
-
-
 def pair_space(n1: int, n2: int) -> int | None:
-    """``pair_budget(n1, n2)`` if it has at most ``MAX_DIGITS`` digits, else None.
+    """Size of the exhaustive search space, the sum of ``S(n1, m) S(n2, m) m!``,
+    or None past ``MAX_DIGITS`` digits (above any budget a command line reads).
 
     Floats decide where they can, with a digit of slack far above their
     rounding: ``S(n, m) >= m^(n - m)``, then the Stirling recurrence in log
@@ -163,7 +157,9 @@ def pair_space(n1: int, n2: int) -> int | None:
         rows.append(row)
     if np.logaddexp.reduce(rows[0] + rows[1] + logfact, initial=-np.inf) >= limit:
         return None
-    space = pair_budget(n1, n2)
+    k = min(n1, n2)
+    r1, r2 = _stirling_row(n1, k), _stirling_row(n2, k)
+    space = sum(r1[m] * r2[m] * math.factorial(m) for m in range(1, k + 1))
     return space if space < 10**MAX_DIGITS else None
 
 
@@ -355,11 +351,11 @@ def epsilon_bisim_exact(
     that of scoring every admissible pair.  The minimum is taken in the
     order of ``(epsilon, m, k1 assign, k2 assign)``, so ties go to fewer
     classes, then to the lexicographically smaller assignments.  Raises
-    BudgetExceededError when the a-priori pair count (``pair_budget``)
-    exceeds ``budget``.
+    BudgetExceededError first when the a-priori pair count (``pair_space``,
+    under a second at any size) is None or exceeds ``budget``.
     """
-    total = pair_budget(p1.n, p2.n)
-    if total > budget:
+    total = pair_space(p1.n, p2.n)
+    if total is None or total > budget:
         raise BudgetExceededError(total, budget)
     actions = union_actions(p1, p2)
     mmax = min(p1.n, p2.n)

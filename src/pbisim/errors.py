@@ -4,10 +4,9 @@ Errors map onto CLI exit codes: parse/validation problems exit with 2,
 an exceeded enumeration budget exits with 3.
 """
 
-import math
-
-# Counts of more decimal digits than this are reported approximately:
-# Python's default limit refuses to turn them into text.
+# Pair counts of more decimal digits than this are reported only as a
+# bound: Python's default limit refuses to turn them into text, or to read
+# a --pair-cap that large.
 MAX_DIGITS = 4300
 # Here, not in core, matrices or epsilon, so that the command line and the
 # parsers need not load them.
@@ -85,13 +84,12 @@ class ClassCountMismatchError(ValidationError):
 class BudgetExceededError(PbisimError):
     """The exhaustive search space exceeds the configured pair budget."""
 
-    def __init__(self, count: int, budget: int):
+    def __init__(self, count: int | None, budget: int):
         self.count = count
         self.budget = budget
-        if count >= 10**MAX_DIGITS:
-            count = f"about 10^{int((count.bit_length() - 1) * math.log10(2))}"
+        needs = f"more than 10^{MAX_DIGITS}" if count is None else count
         super().__init__(
-            f"exhaustive search needs {count} classification pairs, "
+            f"exhaustive search needs {needs} classification pairs, "
             f"budget is {budget}"
         )
 

@@ -49,12 +49,29 @@ def _gather(indptr: np.ndarray, nbr: np.ndarray, nodes: np.ndarray):
     return owner, nbr[starts[owner] + offsets]
 
 
+def _increasing(rows: np.ndarray) -> bool:
+    """Whether the rows of a 2-D array are strictly increasing, in lexicographic order."""
+    later, earlier = rows[1:], rows[:-1]
+    up = later[:, -1] > earlier[:, -1]
+    for col in range(rows.shape[1] - 2, -1, -1):
+        up = (later[:, col] > earlier[:, col]) | ((later[:, col] == earlier[:, col]) & up)
+    return bool(up.all())
+
+
 def _sorted_rows(values, width: int) -> np.ndarray:
-    """Distinct rows of ``width`` ints as a read-only int64 array, in lexicographic order."""
+    """Distinct rows of ``width`` ints as a read-only int64 array, in lexicographic order.
+
+    Rows that already come strictly increasing, as from ``np.argwhere``,
+    are copied without sorting.  A prefix is tested first, so that rows in
+    another order pay next to nothing for the test.
+    """
     arr = np.asarray(values if isinstance(values, np.ndarray) else [*values], np.int64)
     arr = arr.reshape(-1, width)
-    arr = arr[np.lexsort(arr.T[::-1])]
-    arr = np.concatenate((arr[:1], arr[1:][(arr[1:] != arr[:-1]).any(axis=1)]))
+    if _increasing(arr[:1024]) and _increasing(arr):
+        arr = arr.copy()
+    else:
+        arr = arr[np.lexsort(arr.T[::-1])]
+        arr = np.concatenate((arr[:1], arr[1:][(arr[1:] != arr[:-1]).any(axis=1)]))
     arr.setflags(write=False)
     return arr
 

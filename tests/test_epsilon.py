@@ -19,7 +19,7 @@ from pbisim import (
 )
 from pbisim.core import DEFAULT_TOL
 from pbisim import epsilon, matrices, search
-from pbisim.epsilon import lumping_hull, pair_budget, pair_space
+from pbisim.epsilon import lumping_hull, pair_space
 from pbisim.errors import (
     BudgetExceededError,
     ClassCountMismatchError,
@@ -90,29 +90,31 @@ def test_stirling_rows_match_the_recurrence():
             assert stirling2(n, m) == (_stirling_reference(n, m) if m >= 0 else 0)
     for n1 in range(12):
         for n2 in range(12):
-            assert pair_budget(n1, n2) == sum(
+            assert pair_space(n1, n2) == sum(
                 _stirling_reference(n1, m) * _stirling_reference(n2, m) * math.factorial(m)
                 for m in range(1, min(n1, n2) + 1)
             )
-    # no recursion: a 600-state budget is a number, not a RecursionError
-    assert pair_budget(600, 600) > 10**1000
+    # no recursion: a 600-state count is a number, not a RecursionError
+    assert pair_space(600, 600) > 10**1000
     assert stirling2(600, 599) == math.comb(600, 2)
 
 
-def test_pair_budget_builds_only_the_smaller_sides_columns():
+def test_pair_space_builds_only_the_smaller_sides_columns():
     n = 5000
     s2, s3 = 2 ** (n - 1) - 1, (3**n - 3 * 2**n + 3) // 6
     t0 = time.perf_counter()
-    budget = pair_budget(n, 3)
+    space = pair_space(n, 3)  # 2,386 digits: the float bounds leave it open
     assert time.perf_counter() - t0 < 0.5
     # S(3, m) is 1, 3, 1, and each pair of m-class classifications has m! matchings
-    assert budget == 1 + s2 * 3 * 2 + s3 * 6
+    assert space == 1 + s2 * 3 * 2 + s3 * 6
 
 
 def test_pair_space_decides_large_counts_without_stirling_rows(monkeypatch):
     for n1 in range(1, 16):
         for n2 in range(1, 16):
-            assert pair_space(n1, n2) == pair_budget(n1, n2)
+            assert pair_space(n1, n2) == sum(
+                stirling2(n1, m) * stirling2(n2, m) * math.factorial(m) for m in range(1, 16)
+            )
     assert len(str(pair_space(900, 900))) == 3832  # exact below 4,300 digits
     assert pair_space(994, 994) is None  # 4,304 digits
 
@@ -122,6 +124,23 @@ def test_pair_space_decides_large_counts_without_stirling_rows(monkeypatch):
     monkeypatch.setattr(epsilon, "_stirling_row", refuse)
     assert pair_space(1000, 1000) is None  # 4,334 digits
     assert pair_space(3, 20_000) is None
+
+
+def test_exact_refuses_large_inputs_from_the_float_bounds(monkeypatch):
+    # each count has more than 4,300 digits; exact epsilon refuses it from
+    # pair_space's float bounds, building no Stirling row
+    def refuse(n, k):
+        raise AssertionError(f"built the Stirling row of {n}")
+
+    monkeypatch.setattr(epsilon, "_stirling_row", refuse)
+    for n in (1000, 5000):
+        p = gen_random_pts(n, ["a"], 1 / n, n)
+        with pytest.raises(BudgetExceededError) as exc:
+            epsilon_bisim_exact(p, p)
+        assert exc.value.count is None and exc.value.budget == 10_000_000
+        assert str(exc.value) == (
+            "exhaustive search needs more than 10^4300 classification pairs, budget is 10000000"
+        )
 
 
 def test_enumerate_invalid_range():
@@ -204,10 +223,17 @@ def test_exact_symmetric():
 
 def test_exact_budget_exceeded():
     p = gen_random_pts(8, ["a"], 1.0, 5)
-    assert pair_budget(8, 8) > 10_000_000
     with pytest.raises(BudgetExceededError) as exc:
         epsilon_bisim_exact(p, p)
-    assert exc.value.count == pair_budget(8, 8)
+    assert exc.value.count == pair_space(8, 8) == 262_308_819
+    assert str(exc.value) == (
+        "exhaustive search needs 262308819 classification pairs, budget is 10000000"
+    )
+    # a count just below 4,300 digits is written out whole
+    with pytest.raises(BudgetExceededError) as exc:
+        epsilon_bisim_exact(gen_random_pts(993, ["a"], 0.002, 1), gen_random_pts(993, ["a"], 0.002, 2))
+    assert exc.value.count == pair_space(993, 993) and len(str(exc.value.count)) == 4299
+    assert f"needs {exc.value.count} classification pairs" in str(exc.value)
 
 
 def test_exact_keeps_lumpings_finer_than_tolerance_groups():

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from pbisim import (
@@ -14,7 +15,7 @@ from pbisim import (
     largest_simulation,
 )
 from pbisim.errors import NotALatticeError, ValidationError
-from pbisim.galois import full_relation
+from pbisim.galois import _sorted_rows, full_relation
 
 from helpers import (
     as_set,
@@ -94,6 +95,32 @@ def test_structure_names_its_smallest_out_of_range_edge_or_state(edges, marked, 
     assert str(err.value) == message
 
 
+def test_sorted_edges_keep_the_out_of_range_message():
+    for edges in (np.array([[0, -1], [0, 1], [1, 9]]), np.array([[1, 9], [0, 1], [0, -1]])):
+        with pytest.raises(ValidationError) as err:
+            KripkeStructure(2, edges, ())
+        assert str(err.value) == "edge (0, -1) out of range"
+        assert edges.flags.writeable
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_rows_in_any_order_give_the_same_read_only_array(width):
+    rng = np.random.default_rng(width)
+    rows = np.unique(rng.integers(-3, 1500, size=(3000, width)), axis=0)  # sorted and distinct
+    assert len(rows) > 1024  # past the prefix that is tested first
+    shuffled = rows[rng.permutation(len(rows))]
+    duplicated = np.concatenate((shuffled, shuffled[::3], rows[:1]))
+    late = np.concatenate((rows, rows[:3]))  # a sorted prefix, then rows out of order
+    for given in (rows, rows.ravel(), shuffled, duplicated, late, shuffled.tolist()):
+        got = _sorted_rows(given, width)
+        assert got.dtype == np.int64 and np.array_equal(got, rows)
+        assert not got.flags.writeable and not np.shares_memory(got, rows)
+        if isinstance(given, np.ndarray):
+            assert given.flags.writeable
+    for given in (rows[:1], rows[:0], ()):
+        assert np.array_equal(_sorted_rows(given, width), rows[: len(given)])
+
+
 def test_largest_single_state_no_edges():
     one = KripkeStructure(1, frozenset(), frozenset())
     assert as_set(largest_simulation(one, one).pairs) == {(0, 0)}
@@ -123,7 +150,7 @@ def test_largest_matches_exhaustive_union_random():
         a = random_kripke(rng, na, 0.4)
         got = largest_simulation(c, a)
         assert is_simulation(c, a, got)[0]
-        assert got == brute_largest_simulation(c, a)
+        assert got == brute_largest_simulation(c, a) and not got.pairs.flags.writeable
 
 
 def test_simulations_closed_under_union():

@@ -63,12 +63,13 @@ def limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (LIMIT, LIMIT))
 
 
-def run_limited(*args):
+def run_limited(*args, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "pbisim", *args],
         capture_output=True,
         text=True,
         preexec_fn=limit_address_space,
+        timeout=timeout,
     )
 
 
@@ -99,6 +100,18 @@ def test_epsilon_search_on_50k_states_runs_in_one_gib(wide):
     result = json.loads(res.stdout)["result"]
     assert result["method"] == "local-search"
     assert result["epsilon"] == 0.0 and 1 < result["classes"] <= 40
+
+
+def test_exact_epsilon_on_20k_states_exits_three_in_one_gib(tmp_path):
+    # the a-priori pair count has far more than 4,300 digits, which its
+    # float bounds show without the exact Stirling rows of 20,000 states
+    path = tmp_path / "r.pts"
+    res = run_limited("gen", "random", "--states", "20000", "--actions", "a",
+                      "--density", "0.0002", "--seed", "2", "-o", str(path))
+    assert res.returncode == 0, res.stderr[-2000:]
+    res = run_limited("epsilon", str(path), str(path), timeout=30)
+    assert res.returncode == 3, res.stderr[-2000:]
+    assert "needs more than 10^4300 classification pairs, budget is 10000000" in res.stderr
 
 
 DISTANCE = """
