@@ -115,25 +115,30 @@ def enumerate_classifications(
     for s in range(n - 1, -1, -1):
         fresh[s] = fresh[s + 1] + (first[block[s]] == s)
     assign = [0] * n
-    owner: list[int] = []  # block of each class opened so far
-
-    def rec(i: int, used: int) -> Iterator[Classification]:
-        if not fresh[i] <= m - used <= n - i:
-            return
-        if i == n:
+    owner = [0] * m  # block of each class opened so far
+    used = [0] * (n + 1)  # used[i]: classes opened by states before i
+    # depth-first with an explicit stack (assign[:i]), so n is not bounded
+    # by the recursion limit; state i tries class v, then v + 1, ...
+    i, v = 0, 0
+    while i >= 0:
+        u = used[i]
+        while v < u and owner[v] != block[i]:
+            v += 1
+        if v == m or v > u:
+            i -= 1
+            v = assign[i] + 1
+            continue
+        assign[i] = v
+        owner[v] = block[i]
+        u += v == u
+        if not fresh[i + 1] <= m - u <= n - i - 1:
+            v += 1
+        elif i + 1 == n:
             yield Classification(tuple(assign), m)
-            return
-        for v in range(used):
-            if owner[v] == block[i]:
-                assign[i] = v
-                yield from rec(i + 1, used)
-        if used < m:
-            assign[i] = used
-            owner.append(block[i])
-            yield from rec(i + 1, used + 1)
-            owner.pop()
-
-    yield from rec(0, 0)
+            v += 1
+        else:
+            used[i + 1] = u
+            i, v = i + 1, 0
 
 
 def pair_space(n1: int, n2: int) -> int | None:
@@ -144,6 +149,8 @@ def pair_space(n1: int, n2: int) -> int | None:
     rounding: ``S(n, m) >= m^(n - m)``, then the Stirling recurrence in log
     space.  The exact Stirling rows are built only when both leave it open.
     """
+    if min(n1, n2) == 1:
+        return 1  # S(n, 1) = 1: one classification a side, one pair
     j = np.arange(1, min(n1, n2) + 1)
     logj, limit = np.log(j), (MAX_DIGITS + 1) * math.log(10)
     logfact = np.cumsum(logj)

@@ -316,11 +316,11 @@ class GaloisSpec:
 class GaloisViolation:
     """First failed condition of a Galois-connection check.
 
-    ``kind`` is one of 'alpha-monotone', 'gamma-monotone', 'gamma-alpha'
-    (gamma after alpha must dominate the identity on subsets) and
+    ``kind`` is 'alpha-monotone' (``subject`` is a pair of subset
+    bitmasks, the second one state larger but its image not above) or
     'alpha-gamma' (alpha after gamma must be below the identity on
-    abstract elements).  ``subject`` identifies the witness: subset
-    bitmasks for the powerset side, element indices for the lattice side.
+    abstract elements; ``subject`` is the element index).  The other two
+    adjunction conditions cannot fail; see ``check_galois``.
     """
 
     kind: str
@@ -335,13 +335,16 @@ def check_galois(
 ) -> tuple[bool, GaloisViolation | None]:
     """Verify the adjunction of ``g``, or of an explicit abstraction table.
 
-    The conditions are monotonicity of the abstraction table and of the
-    derived concretisation, and the two composite inequalities.  The
-    join-extended table of ``g`` meets them by construction (alpha(S) is
-    below e iff every singleton image in S is, iff S lies inside gamma(e)),
-    so without ``alpha_table`` nothing is built.  An explicit
-    ``alpha_table`` (one abstract element per subset bitmask, 2^n entries)
-    is verified, and its first violation is reported.
+    The join-extended table of ``g`` is an adjunction by construction
+    (alpha(S) is below e iff every singleton image in S is, iff S lies
+    inside gamma(e)), so without ``alpha_table`` nothing is built.  An
+    explicit ``alpha_table`` (one abstract element per subset bitmask, 2^n
+    entries) is checked for the two conditions that can fail, in order:
+    alpha is monotone ('alpha-monotone'), then alpha(gamma(e)) is below e
+    ('alpha-gamma').  The other two cannot fail: gamma(e) = {c : alpha{c}
+    below e} is read off a transitively closed order, so e below f gives
+    gamma(e) inside gamma(f); and a monotone alpha puts alpha{c} below
+    alpha(S) for every c in S, so S lies inside gamma(alpha(S)).
     """
     if alpha_table is None:
         return True, None
@@ -365,15 +368,6 @@ def check_galois(
 
     # gamma(e) as a bitmask: concrete states whose singleton image is <= e
     gamma = bits @ leq[table[bits]]
-    worse = leq & ((gamma[:, None] & ~gamma[None, :]) != 0)
-    if worse.any():
-        e, f = divmod(int(np.argmax(worse)), g.lattice.size)
-        return False, GaloisViolation("gamma-monotone", (e, f))
-
-    worse = (masks & ~gamma[table]) != 0
-    if worse.any():
-        return False, GaloisViolation("gamma-alpha", (int(np.argmax(worse)),))
-
     worse = ~leq[table[gamma], np.arange(g.lattice.size)]
     if worse.any():
         return False, GaloisViolation("alpha-gamma", (int(np.argmax(worse)),))

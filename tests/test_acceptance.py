@@ -215,6 +215,9 @@ def test_criterion_8_galois_verification():
         two_point = GaloisSpec(2, FiniteLattice(2, [(0, 1)]), (1, 1))
         ok, violation = check_galois(two_point)
         assert ok and violation is None
+        # their join-extended tables, checked entry by entry
+        for g in (ident, two_point):
+            assert check_galois(g, naive_alpha_join_table(g)) == (True, None)
 
         # diamond lattice; remap one singleton in the tabulated map so the
         # table is no longer join-consistent with itself

@@ -234,6 +234,19 @@ def test_epsilon_on_1000_states_writes_the_pair_space_approximately(tmp_path):
     assert report["pair_space"] is None and report["method"] == "local-search"
 
 
+def test_exact_epsilon_of_a_1200_state_cycle_against_one_state(tmp_path):
+    # one pair to score; the enumerator walks 1,200 states without recursion
+    n = 1200
+    states = " ".join(f"s{i}" for i in range(n))
+    cycle = "".join(f"s{i} a s{(i + 1) % n} 1\n" for i in range(n))
+    c = write(tmp_path, "cycle.pts", f"states: {states}\nactions: a\n{cycle}")
+    f = write(tmp_path, "loop.pts", "states: f\nactions: a\nf a f 1\n")
+    res = run_cli("epsilon", c, f, "--json")
+    assert res.returncode == 0, res.stderr
+    report = json.loads(res.stdout)["result"]
+    assert report["epsilon"] == 0.0 and report["classes"] == 1 and report["pair_space"] == 1
+
+
 def test_malformed_file_exits_two_with_line_number(tmp_path):
     bad = write(tmp_path, "bad.pts", "states: s0\nactions: a\ns0 a s9 1.0\n")
     res = run_cli("bisim", bad, bad)

@@ -30,6 +30,7 @@ from pbisim.matrices import NORM_KINDS
 
 from helpers import (
     brute_canonical_classifications,
+    canonical,
     naive_exact_best,
     planted_pair,
     tolerance_chain,
@@ -78,6 +79,23 @@ def test_enumerate_refinements_of_a_partition():
     assert sum(1 for m in range(1, 6) for _ in enumerate_classifications(5, m, within)) == 2 * 5
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_enumeration_yields_the_sorted_refinements(n):
+    rng = random.Random(n)
+    withins = [None]
+    for k in range(1, n + 1):
+        withins.append(canonical([rng.randrange(k) for _ in range(n)]))
+    for m in range(1, n + 1):
+        brute = sorted(brute_canonical_classifications(n, m))
+        for within in withins:
+            block = [0] * n if within is None else within.assign
+            expected = [
+                Classification(a, m) for a in brute
+                if all(block[s] == block[t] for s in range(n) for t in range(s) if a[s] == a[t])
+            ]
+            assert list(enumerate_classifications(n, m, within)) == expected
+
+
 def _stirling_reference(n, m):
     if n == 0 or m == 0:
         return int(n == m)
@@ -118,12 +136,14 @@ def test_pair_space_decides_large_counts_without_stirling_rows(monkeypatch):
     assert len(str(pair_space(900, 900))) == 3832  # exact below 4,300 digits
     assert pair_space(994, 994) is None  # 4,304 digits
 
-    def refuse(n):
+    def refuse(n, k):
         raise AssertionError(f"built the Stirling row of {n}")
 
     monkeypatch.setattr(epsilon, "_stirling_row", refuse)
     assert pair_space(1000, 1000) is None  # 4,334 digits
     assert pair_space(3, 20_000) is None
+    # S(n, 1) = 1: one pair, with no row and no per-state loop
+    assert pair_space(1, 10**6) == pair_space(10**6, 1) == 1
 
 
 def test_exact_refuses_large_inputs_from_the_float_bounds(monkeypatch):

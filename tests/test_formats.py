@@ -213,6 +213,14 @@ DIAGNOSTICS = [
     # an alpha: line's element is looked up before the repeat check
     ("galois", "abstract: a\nalpha: c0 a\nalpha: c0 x\n", UnknownNameError, 3, "unknown name 'x'"),
     ("galois", "abstract: a\nalpha: c0 a\nalpha: c0 a\n", ParseError, 3, "alpha for 'c0' given twice"),
+    # malformed lines and missing declarations
+    ("cls", "s0 0\ns1 0 1\n", ParseError, 2, "expected 'state class-index'"),
+    ("cls", "s0 0\ns1 x\n", ParseError, 2, "bad class index 'x'"),
+    ("kripke", "# no declaration\n", ParseError, 1, "missing states: line"),
+    ("rel", "c0 a0\nc0\n", ParseError, 2, "expected 'concrete abstract'"),
+    ("galois", "abstract: a\nalpha: c0\n", ParseError, 2, "expected 'alpha: state element'"),
+    ("galois", "# no declaration\n", ParseError, 1, "missing abstract: line"),
+    ("galois", "abstract: a\nleq: a <= a\n", ParseError, 1, "no alpha: lines"),
 ]
 
 
