@@ -77,23 +77,31 @@ def coarsest_bisimulation(pts: LabelledPTS, tol: float = DEFAULT_TOL) -> Classif
     tolerance grouping is not transitive, so otherwise it is a lumpable
     partition that may be finer than necessary.
     """
+    return _refine(pts, tol)
+
+
+def _refine(pts: LabelledPTS, tol: float, off: int | None = None) -> Classification | None:
+    """The refinement of ``coarsest_bisimulation``.  With ``off``, returns
+    None once some block holds only states below ``off`` or only states
+    from ``off`` on: blocks are only ever split, so the final partition
+    would have such a block too."""
     if pts.n == 0:
         raise ValidationError("state count must be >= 1")
-    ref = _Refinement(pts, tol)
-    while True:
-        while ref.queue:
+    ref = _Refinement(pts, tol, off)
+    while not ref.one_sided:
+        if ref.queue:
             batch, ref.queue = ref.queue, []
             ref.unchecked.difference_update(batch)
             ref.split_by(batch)
-        unchecked = sorted(ref.unchecked)
-        if not (unchecked and ref.split_by(unchecked, probe=True)):
-            break
-        ref.unchecked.clear()
-        ref.split_by(list(range(len(ref.members))))
-    # number the blocks in order of their first state
-    number: dict[int, int] = {}
-    assign = tuple(number.setdefault(b, len(number)) for b in ref.block_of.tolist())
-    return Classification(assign, len(number))
+        elif ref.unchecked and ref.split_by(sorted(ref.unchecked), probe=True):
+            ref.unchecked.clear()
+            ref.split_by(list(range(len(ref.members))))
+        else:
+            # number the blocks in order of their first state
+            number: dict[int, int] = {}
+            assign = tuple(number.setdefault(b, len(number)) for b in ref.block_of.tolist())
+            return Classification(assign, len(number))
+    return None
 
 
 class _Refinement:
@@ -102,10 +110,12 @@ class _Refinement:
     ``members[b]`` holds block ``b``'s states; ``block_of`` and ``size``
     hold the same facts as arrays.  The system's edge table (``row =
     action * n + source``, and ``prob``) is kept sorted by target state,
-    ``ptr`` delimiting each state's incoming edges.
+    ``ptr`` delimiting each state's incoming edges.  With ``off``,
+    ``left[b]`` counts block ``b``'s states below ``off``, and
+    ``one_sided`` tells whether a block has none or only such states.
     """
 
-    def __init__(self, pts: LabelledPTS, tol: float):
+    def __init__(self, pts: LabelledPTS, tol: float, off: int | None = None):
         n = pts.n
         self.n, self.tol = n, tol
         self.n_actions = len(pts.actions)
@@ -128,6 +138,15 @@ class _Refinement:
         # equal mass into the whole state set and one block may be skipped.
         largest = int(np.argmax(self.size))
         self.queue = [b for b in range(m0) if b != largest]
+        self.off, self.one_sided = off, False
+        if off is not None:
+            self.left = np.zeros(n, dtype=np.intp)
+            self.left[:m0] = np.bincount(self.block_of[:off], minlength=m0)
+            self.one_sided = self._one_sided(np.arange(m0))
+
+    def _one_sided(self, blocks: np.ndarray) -> bool:
+        left = self.left[blocks]
+        return bool(((left == 0) | (left == self.size[blocks])).any())
 
     def split_by(self, batch: list[int], probe: bool = False) -> bool:
         """Split every block by its states' masses into the batch's blocks.
@@ -198,6 +217,9 @@ class _Refinement:
 
         moved: list[int] = []
         moved_to: list[int] = []
+        # each new piece's block before the split, and where its states
+        # start in moved
+        first_new, parents, starts = len(self.members), [], []
         for b, parts in by_block.items():
             rest = int(self.size[b]) - sum(len(p) for p in parts)
             unqueued = None
@@ -223,11 +245,20 @@ class _Refinement:
                 self.size[b] -= len(p)
                 if p is not unqueued:
                     self.queue.append(nb)
+                parents.append(b)
+                starts.append(len(moved))
                 moved.extend(p)
                 moved_to.extend([nb] * len(p))
         if not moved:
             return False
-        self.block_of[moved] = moved_to
+        states = np.fromiter(moved, np.intp, len(moved))
+        self.block_of[states] = moved_to
+        if self.off is not None:
+            # O(moved): a new piece's states below off leave its block's count
+            new = np.arange(first_new, len(self.members))
+            self.left[new] = np.add.reduceat(states < self.off, starts, dtype=np.intp)
+            np.subtract.at(self.left, parents, self.left[new])
+            self.one_sided = self._one_sided(np.concatenate((parents, new)))
         return True
 
 
@@ -246,15 +277,17 @@ def are_bisimilar(
 
     The two systems are bisimilar iff every class of the coarsest
     bisimulation of their disjoint union contains states from both sides.
-    On success the union classification is split back into per-system
+    Refinement only splits blocks, so it stops with "not bisimilar" at the
+    first block, from the partition by enabledness on, that holds states
+    of one side only; the check costs O(states moved) per split.  On
+    success the union classification is split back into per-system
     classifications whose quotients coincide.
     """
     union, off = disjoint_union(p1, p2)
-    c = coarsest_bisimulation(union, tol)
-    assign = np.asarray(c.assign)
-    if not (np.bincount(assign[:off], minlength=c.m).all()
-            and np.bincount(assign[off:], minlength=c.m).all()):
+    c = _refine(union, tol, off)
+    if c is None:
         return False, None
+    assign = np.asarray(c.assign)
     k1 = Classification(c.assign[:off], c.m)
     k2 = Classification(c.assign[off:], c.m)
     return True, BisimWitness(c.m, k1, k2, lumped(union, assign, c.m))

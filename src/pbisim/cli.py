@@ -22,7 +22,6 @@ import math
 import os
 import sys
 import time
-import traceback
 
 # before numpy loads: no command's products need a second, spinning BLAS thread
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -512,6 +511,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
+        import traceback  # only this branch prints one
+
         print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         traceback.print_exc()
         return 4

@@ -17,6 +17,7 @@ instances can be shared freely between threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -30,6 +31,8 @@ from .errors import (
     RowSumError,
     ValidationError,
 )
+
+_EPS = float(np.finfo(float).eps)
 
 
 class LabelledPTS:
@@ -175,19 +178,22 @@ def validate_pts(pts: LabelledPTS, tol: float = DEFAULT_TOL) -> None:
     totals = np.bincount(row, weights=prob, minlength=rows)
     # The dense row's sum adds the same k entries in another order, which
     # moves the total by less than k ulps of the row's absolute sum; only
-    # rows within a few times that of a bound, or beyond it, are summed
-    # again as dense rows.
-    slack = 4 * np.finfo(float).eps * (np.diff(indptr) + 1) * (
+    # rows within a few times that of a bound, or beyond it, are looked at
+    # again, and summed as dense rows only if their entries cannot decide.
+    slack = 4 * _EPS * (np.diff(indptr) + 1) * (
         np.bincount(row, weights=np.abs(prob), minlength=rows) + 1.0
     )
     suspect = (np.abs(totals) > tol - slack) & (np.abs(totals - 1.0) > tol - slack)
-    suspect[row[prob < -tol]] = True
-    for r in np.flatnonzero(suspect).tolist():
-        lo, hi = indptr[r], indptr[r + 1]
+    negative = np.zeros(rows, dtype=bool)
+    negative[row[prob < -tol]] = True
+    suspect |= negative
+    at = np.flatnonzero(suspect)
+    for r, lo, hi in zip(at.tolist(), indptr[at].tolist(), indptr[at + 1].tolist()):
         s, a = r % n, pts.actions[r // n]
-        bad = np.flatnonzero(prob[lo:hi] < -tol)
-        if bad.size:
-            raise NegativeEntryError(s, a, float(prob[lo + bad[0]]))
+        if negative[r]:
+            raise NegativeEntryError(s, a, float(prob[lo + np.argmax(prob[lo:hi] < -tol)]))
+        if _surely_valid(prob[lo:hi].tolist(), tol):
+            continue
         dense = np.zeros(n)
         dense[dst[lo:hi]] = prob[lo:hi]
         total = float(dense.sum())
@@ -195,6 +201,27 @@ def validate_pts(pts: LabelledPTS, tol: float = DEFAULT_TOL) -> None:
             raise RowSumError(s, a, total)
     if rows < len(pts.actions) * n:
         raise ValidationError(f"non-finite entry in action {pts.actions[rows // n]!r}")
+
+
+def _surely_valid(entries: list[float], tol: float) -> bool:
+    """Whether every sum of ``entries``, added in any order, lies within
+    ``tol`` of 0 or within ``tol`` of 1.
+
+    Such a sum, over k entries and any number of zeros, rounds at most
+    k - 1 additions (those of two non-zero partial sums), each by at most
+    half an ulp of a partial sum no larger than the entries' absolute sum.
+    ``math.fsum`` gives the exact sum rounded once; the margin taken, four
+    times that bound, also covers the roundings of the bounds themselves.
+    Within 0's band and within 1's band are each an interval of floats, so
+    checking both ends of the margin decides every sum between them.
+    """
+    try:
+        total = math.fsum(entries)
+        margin = 2 * (len(entries) - 1) * _EPS * math.fsum(map(abs, entries))
+    except OverflowError:
+        return False
+    lo, hi = total - margin, total + margin
+    return (abs(lo) <= tol and abs(hi) <= tol) or (abs(lo - 1.0) <= tol and abs(hi - 1.0) <= tol)
 
 
 def disjoint_union(p1: LabelledPTS, p2: LabelledPTS) -> tuple[LabelledPTS, int]:

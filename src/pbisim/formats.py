@@ -36,7 +36,6 @@ from __future__ import annotations
 import re
 import warnings
 from itertools import islice
-from operator import itemgetter
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -106,23 +105,65 @@ def _read_lines(lines: list[str], lineno: int, index: dict, act_index: dict):
     return np.array(keys, dtype=np.int64), np.array(probs), error
 
 
+# Multiplies the key so far before the next word is mixed in; keys that
+# collide anyway are found when the table is built.
+_MIX = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _fold(words: np.ndarray) -> np.ndarray:
+    """One uint64 key per row of words; equal rows have equal keys."""
+    key = words[:, 0]
+    for j in range(1, words.shape[1]):
+        key = key * _MIX ^ words[:, j]
+    return key
+
+
+def _name_table(names: list[str]) -> tuple[int, tuple | None]:
+    """Width of a column of these names, and the table ``_lookup`` searches.
+
+    The width is the multiple of 8 bytes above the longest name, so that a
+    cut-off token matches none.  The table holds the names' keys ascending,
+    the names' indices in that order and their NUL-padded uint64 words; it
+    is None if two names share a key.
+    """
+    # Only tokens of ASCII text without NUL are looked up.  Padding would
+    # make a name that ends in NUL equal to the name without it, so a NUL
+    # is written as a lone surrogate's bytes, which no such token holds.
+    text = "\n".join(names).replace("\x00", "\udcff")
+    words = np.array(text.encode("utf-8", "surrogatepass").split(b"\n") if names else [], dtype=bytes)
+    width = words.itemsize // 8 * 8 + 8
+    words = words.astype(f"S{width}").view(np.uint64).reshape(len(names), width // 8)
+    key = _fold(words)
+    order = np.argsort(key)
+    key = key[order]
+    return width, None if (key[1:] == key[:-1]).any() else (key, order, words[order])
+
+
+def _lookup(column: np.ndarray, table: tuple) -> np.ndarray:
+    """Each token's index among the names; LookupError if one is none
+    (IndexError, a LookupError, if there are no names)."""
+    key, ids, words = table
+    tokens = np.ascontiguousarray(column).view(np.uint64).reshape(column.size, words.shape[1])
+    at = np.minimum(np.searchsorted(key, _fold(tokens)), key.size - 1)
+    if not (words[at] == tokens).all():
+        raise LookupError("undeclared name")
+    return ids[at]
+
+
 def _convert(piece: str, lines: list[str], dtype: list, tables: list, n: int):
     """What ``_read_lines`` returns, by np.loadtxt; None where it must decide."""
-    # str.split also splits ASCII text on \x1f, numpy's reader cuts a trailing
-    # \x00 off, and a line may hold a header keyword (a search for ':' is fast)
-    if not piece.isascii() or "\x00" in piece or "\x1f" in piece or (
+    # A table is None where two names share a key.  str.split also splits
+    # ASCII text on \x1f, numpy's reader cuts a trailing \x00 off, and a
+    # line may hold a header keyword (a search for ':' is fast).
+    if None in tables or not piece.isascii() or "\x00" in piece or "\x1f" in piece or (
             ":" in piece and ("states:" in piece or "actions:" in piece)):
         return None
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # on a piece of comments only
             rows = np.loadtxt(lines, dtype=dtype, comments="#", ndmin=1)
-        # itemgetter returns a tuple for two keys or more, else a TypeError follows
-        src, act, dst = (
-            np.fromiter(itemgetter(*rows[col].tolist())(table), np.int64, len(rows))
-            for col, table in zip("sat", (tables[0], tables[1], tables[0]))
-        )
-    except (ValueError, KeyError, TypeError):
+        src, act, dst = (_lookup(rows[col], table) for col, table in zip("sat", tables))
+    except (ValueError, LookupError):
         return None
     return (act * n + src) * n + dst, rows["p"].copy(), None
 
@@ -131,10 +172,16 @@ def parse_pts(text: str, tol: float = DEFAULT_TOL) -> tuple[LabelledPTS, tuple[s
     """Parse a system file; returns the system and its state-name table.
 
     Lines up to both headers are read one at a time, the transition block
-    after them by numpy's C reader a megabyte at a time.  A piece that
-    reader cannot take alike, or one with a malformed line or an undeclared
-    name, is read line by line, which gives every diagnostic; the earliest
-    line's error wins.  The edge arrays are validated as a reactive system.
+    after them by numpy's C reader a megabyte at a time, into byte-string
+    columns a multiple of 8 bytes wider than the longest declared name.
+    Each name column is then looked up in one search: every token's NUL
+    padded uint64 words fold into one key, which is searched among the
+    declared names' sorted keys, and the found name's words must equal the
+    token's.  A piece that reader cannot take alike, one with a malformed
+    line or an undeclared name, and every piece when two declared names
+    share a key, is read line by line, which gives every diagnostic; the
+    earliest line's error wins.  The edge arrays are validated as a
+    reactive system.
     """
     from .core import LabelledPTS, validate_pts
 
@@ -155,12 +202,9 @@ def parse_pts(text: str, tol: float = DEFAULT_TOL) -> tuple[LabelledPTS, tuple[s
 
     n, start = len(names), lineno
     index, act_index = {s: i for i, s in enumerate(names)}, {a: i for i, a in enumerate(actions)}
-    # wider than every name, so that a cut-off token matches none
-    dtype = [(c, f"S{max(map(len, t), default=0) + 1}") for c, t in zip("sat", (names, actions, names))]
-    dtype.append(("p", "f8"))
-    # a name with a lone surrogate still encodes; only ASCII ones can match
-    tables = [dict(zip("\n".join(t).encode("utf-8", "surrogatepass").split(b"\n"), range(len(t))))
-              for t in (names, actions)]
+    (state_width, states), (action_width, acts) = _name_table(names), _name_table(actions)
+    dtype = [("s", f"S{state_width}"), ("a", f"S{action_width}"), ("t", f"S{state_width}"), ("p", "f8")]
+    tables = [states, acts, states]
     blocks, error = [(np.empty(0, dtype=np.int64), np.empty(0), None)], None
     while pos < len(text) and error is None:
         end = text.find("\n", pos + _CHUNK) + 1 or len(text)  # so a piece has whole lines

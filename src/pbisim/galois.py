@@ -34,6 +34,8 @@ import numpy as np
 
 from .errors import NotALatticeError, ValidationError
 
+_STEPS = 1 << 20  # the steps that is_simulation gathers at once
+
 
 def _indptr(keys: np.ndarray, n: int) -> np.ndarray:
     """CSR row pointer for entries whose rows are ``keys`` (each in ``0..n-1``)."""
@@ -47,6 +49,24 @@ def _gather(indptr: np.ndarray, nbr: np.ndarray, nodes: np.ndarray):
     owner = np.repeat(np.arange(len(nodes)), lens)
     offsets = np.arange(len(owner)) - np.repeat(np.cumsum(lens) - lens, lens)
     return owner, nbr[starts[owner] + offsets]
+
+
+def _cuts(lens: np.ndarray, size: int, group: np.ndarray | None = None) -> list[int]:
+    """Ascending cut points, from 0 to ``len(lens)``, between runs whose
+    ``lens`` add up to at most ``size`` plus the run's first entry's.  With
+    ``group`` (ascending, one per entry), a cut moves down to the start of
+    its group, so that no group is cut."""
+    ends = np.cumsum(lens)
+    cuts = np.searchsorted(ends, np.arange(size, ends[-1] if ends.size else 0, size), side="right")
+    if group is not None:
+        cuts = np.searchsorted(group, group[cuts])
+    return sorted({0, *cuts.tolist(), lens.size})
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct values, without np.unique (whose plain form imports numpy.ma)."""
+    values = np.sort(values)
+    return np.concatenate((values[:1], values[1:][values[1:] != values[:-1]]))
 
 
 def _increasing(rows: np.ndarray) -> bool:
@@ -154,25 +174,42 @@ def is_simulation(
 
     The pairs arrive sorted by (c, a), the order of keys ``c * a.n + a``.
     The (c', a) that are answered are those with c' R a' for a successor a'
-    of a: one gather over the abstract predecessors of every related a'.
-    The (c', a) that must be answered are one gather over the concrete
-    successors of every related c, already in witness order, so the first
-    one missing from the answered keys is the witness.  Work and memory are
-    O(|R| * (outdeg + indeg)) plus the sorts, following the relation rather
-    than the state counts.
+    of a: gathers over the abstract predecessors of every related a', in
+    runs of whole c', each run's keys sorted and made distinct, so that
+    the runs join into one sorted array.  The (c', a) that must be
+    answered are gathered over the concrete successors of every related c,
+    about ``_STEPS`` at a time, already in witness order; each chunk's
+    distinct keys are searched among the answered ones, and the first
+    chunk with a missing key holds the witness: its first step whose key
+    is missing.  Work is O(|R| * (outdeg + indeg)) plus the sorts, and memory
+    O(|R| + answered pairs + _STEPS), following the relation rather than
+    the state counts.
     """
     outside = ((r.pairs < 0) | (r.pairs >= (c.n, a.n))).any(axis=1)
     if outside.any():
         x, y = r.pairs[np.argmax(outside)].tolist()
         raise ValidationError(f"relation pair ({x}, {y}) out of range")
     rc, ra = r.pairs.T
-    owner, below = _gather(*a._pred, ra)
-    step, c2 = _gather(*c._succ, rc)
-    missing = ~np.isin(c2 * a.n + ra[step], rc[owner] * a.n + below)
-    if not missing.any():
-        return True, None
-    k = int(np.argmax(missing))
-    return False, (int(rc[step[k]]), int(ra[step[k]]), int(c2[k]))
+    pred_ptr, pred = a._pred
+    cuts = _cuts(np.diff(pred_ptr)[ra], _STEPS, rc)
+    runs = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        owner, below = _gather(pred_ptr, pred, ra[lo:hi])
+        runs.append(_distinct(rc[lo:hi][owner] * a.n + below))
+    # the largest int64 follows every key, so each search lands on a key
+    answered = np.concatenate(runs + [[np.iinfo(np.int64).max]])
+    succ_ptr, succ = c._succ
+    cuts = _cuts(np.diff(succ_ptr)[rc], _STEPS)
+    for lo, hi in zip(cuts, cuts[1:]):
+        step, c2 = _gather(succ_ptr, succ, rc[lo:hi])
+        key = c2 * a.n + ra[lo:hi][step]
+        # searched sorted and distinct, which keeps the reads of answered local
+        wanted = _distinct(key)
+        missing = wanted[answered[np.searchsorted(answered, wanted)] != wanted]
+        if missing.size:
+            k = int(np.argmax(np.isin(key, missing)))
+            return False, (int(rc[lo + step[k]]), int(ra[lo + step[k]]), int(c2[k]))
+    return True, None
 
 
 def largest_simulation(c: KripkeStructure, a: KripkeStructure) -> Relation:
@@ -208,9 +245,7 @@ def largest_simulation(c: KripkeStructure, a: KripkeStructure) -> Relation:
         zc, za = np.divmod(cells[count_flat[cells] == 0], width)
         owner, x = _gather(c_pred_ptr, c_pred, zc)
         cand = x * width + za[owner]
-        # distinct, without np.unique (whose plain form imports numpy.ma)
-        removed = np.sort(cand[rel_flat[cand]])
-        removed = np.concatenate((removed[:1], removed[1:][removed[1:] != removed[:-1]]))
+        removed = _distinct(cand[rel_flat[cand]])
     return Relation(np.argwhere(rel))
 
 

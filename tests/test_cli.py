@@ -148,6 +148,8 @@ def test_each_command_imports_only_the_modules_it_runs(planted_files):
         modules = {m.split(".", 1)[1] for m in loaded if m.startswith("pbisim.")}
         assert modules == expected, argv
         assert "numpy.ma" not in loaded, argv[0]
+        # only a run that ends in an internal error prints a traceback
+        assert "traceback" not in loaded, argv[0]
 
 
 BLAS_PROBE = """

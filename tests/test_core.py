@@ -1,6 +1,11 @@
+import math
+import random
+import time
+
 import numpy as np
 import pytest
 
+from pbisim import core
 from pbisim import (
     Classification,
     LabelledPTS,
@@ -14,12 +19,13 @@ from pbisim.errors import (
     EmptyActionSetError,
     NegativeEntryError,
     NonSurjectiveError,
+    PbisimError,
     RowSumError,
 )
 from pbisim.formats import parse_pts
 from pbisim.generators import gen_planted, gen_random_pts, perturb
 
-from helpers import dense
+from helpers import dense, naive_validate_pts
 
 
 def test_validate_self_loop():
@@ -161,3 +167,63 @@ def test_enabled_blocks_are_numbered_as_a_row_wise_unique(actions):
         assert (pts.enabled_rows() == on).all()
         expected = np.unique(on.T, axis=0, return_inverse=True)[1].reshape(n)
         assert pts.enabled_blocks().tolist() == expected.tolist()
+
+
+def near_bound_system(rng, tol: float) -> LabelledPTS:
+    """One action over up to 48 states.  One row in five holds k
+    entries, some negative, whose exact sum is up to 4 or 200 ulps from 0,
+    1 or either one's tolerance bound; the others are disabled or a
+    single 1."""
+    n = rng.randint(1, 48)
+    src, dst, prob = [], [], []
+    for s in range(n):
+        if rng.random() < 0.8:
+            targets, entries = ([rng.randrange(n)], [1.0]) if rng.random() < 0.5 else ([], [])
+        else:
+            targets = sorted(rng.sample(range(n), rng.randint(1, n)))
+            bound = rng.choice([0.0, 1.0, tol, -tol, 1.0 + tol, 1.0 - tol])
+            total = bound + rng.choice([4, 200]) * rng.uniform(-1, 1) * math.ulp(bound)
+            # with a negative entry first, at or near -tol, one time in five
+            head = [-rng.choice([0.5, 1.0, 1.0 + 1e-12, 2.0]) * tol] if len(targets) > 1 and rng.random() < 0.2 else []
+            weights = [rng.random() for _ in targets[len(head):]]
+            entries = head + [(total - sum(head)) * w / sum(weights) for w in weights]
+            entries[-1] = total - math.fsum(entries[:-1])
+        src += [s] * len(targets)
+        dst += targets
+        prob += entries
+    return LabelledPTS.from_edges(n, ("a",), src, dst, prob)
+
+
+def validation_outcome(validate, pts, tol):
+    try:
+        validate(pts, tol)
+    except PbisimError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-3, 0.0])
+def test_near_bound_rows_validate_as_the_dense_rule_does(tol, monkeypatch):
+    decided = []
+    surely_valid = core._surely_valid
+    monkeypatch.setattr(core, "_surely_valid", lambda *args: decided.append(surely_valid(*args)) or decided[-1])
+    rng = random.Random(80000)
+    outcomes = []
+    for _ in range(600):
+        pts = near_bound_system(rng, tol)
+        outcomes.append(validation_outcome(validate_pts, pts, tol))
+        assert outcomes[-1] == validation_outcome(naive_validate_pts, pts, tol)
+    kinds = [o and o[0] for o in outcomes]
+    assert all(kinds.count(kind) >= 50 for kind in (None, RowSumError, NegativeEntryError)), kinds
+    # rows decided from their own entries, and rows summed as dense rows
+    assert decided.count(True) >= 100 and decided.count(False) >= 100
+
+
+def test_a_cycle_of_near_bound_rows_validates_in_linear_time():
+    # every row is one entry a ulp inside 1 + tol; summed again as dense
+    # rows, 80,000 of them took 4 s
+    n = 80_000
+    pts = LabelledPTS.from_edges(n, ("a",), np.arange(n), (np.arange(n) + 1) % n, np.full(n, 1.0000000009999999))
+    start = time.perf_counter()
+    validate_pts(pts)
+    assert time.perf_counter() - start < 0.5

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from pbisim import cli
+from pbisim import cli, galois
 from pbisim import (
     FiniteLattice,
     GaloisSpec,
@@ -105,9 +105,12 @@ def test_largest_simulation_matches_the_sweep():
     assert dead_end_pairs > 100
 
 
-def test_is_simulation_matches_on_random_and_near_relations():
+def check_is_simulation(seed: int, count: int) -> int:
+    """Compare with the oracle on the largest simulation of each pair, on
+    it with pairs removed or one added, and on a random relation; returns
+    how many relations are no simulation."""
     failing = 0
-    for rng, c, a in kripke_pairs(2, 300):
+    for rng, c, a in kripke_pairs(seed, count):
         largest = as_set(naive_largest_simulation(c, a).pairs)
         outside = sorted(
             (i, j) for i in range(c.n) for j in range(a.n) if (i, j) not in largest
@@ -125,7 +128,19 @@ def test_is_simulation_matches_on_random_and_near_relations():
             want = naive_is_simulation(c, a, r)
             assert is_simulation(c, a, r) == want, (c, a, r)
             failing += not want[0]
-    assert failing > 200
+    return failing
+
+
+def test_is_simulation_matches_on_random_and_near_relations():
+    assert check_is_simulation(2, 300) > 200
+
+
+@pytest.mark.parametrize("steps", [1, 5, 64])
+def test_is_simulation_in_small_chunks_gives_the_same_witness(steps, monkeypatch):
+    # chunks of about this many steps, each side: the answered keys join
+    # from many runs, and the witness lies in a later chunk
+    monkeypatch.setattr(galois, "_STEPS", steps)
+    assert check_is_simulation(4, 60) > 40
 
 
 # --- lattices ---------------------------------------------------------------

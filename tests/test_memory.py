@@ -213,20 +213,34 @@ import random, sys
 sys.path.insert(0, {tests!r})
 from helpers import random_kripke
 from pbisim.galois import is_simulation, largest_simulation
-rng = random.Random(2000)
-c, a = random_kripke(rng, 2000, 3 / 2000), random_kripke(rng, 2000, 3 / 2000)
+rng = random.Random({n})
+c, a = random_kripke(rng, {n}, 3 / {n}), random_kripke(rng, {n}, 3 / {n})
 rel = largest_simulation(c, a)
 print(len(rel.pairs), is_simulation(c, a, rel))
 """
 
 
-def test_sparse_2k_state_simulation_runs_in_one_gib():
-    # out-degree about 3: the largest simulation holds 3.7 M pairs, which
-    # fit in 1 GiB as one array but not as Python tuples plus their arrays
-    code = SPARSE_SIMULATION.format(tests=str(Path(__file__).parent))
+def sparse_simulation(n: int) -> tuple[int, str]:
+    code = SPARSE_SIMULATION.format(tests=str(Path(__file__).parent), n=n)
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          preexec_fn=limit_address_space)
     assert res.returncode == 0, res.stderr[-2000:]
     count, verdict = res.stdout.split(" ", 1)
-    assert 0 < int(count) < 2000 * 2000
+    return int(count), verdict
+
+
+def test_sparse_2k_state_simulation_runs_in_one_gib():
+    # out-degree about 3: the largest simulation holds 3.7 M pairs, which
+    # fit in 1 GiB as one array but not as Python tuples plus their arrays
+    count, verdict = sparse_simulation(2000)
+    assert 0 < count < 2000 * 2000
+    assert verdict == "(True, None)\n"
+
+
+def test_sparse_3k_state_simulation_check_runs_in_one_gib():
+    # 8.5 M pairs and 25 M steps each way: the check gathers its steps a
+    # chunk at a time, where all of them at once (195 MiB an array, and
+    # several such arrays) raised MemoryError
+    count, verdict = sparse_simulation(3000)
+    assert 8_000_000 < count < 3000 * 3000
     assert verdict == "(True, None)\n"

@@ -38,7 +38,7 @@ from pbisim import (
 )
 from pbisim.core import DEFAULT_TOL
 from pbisim.epsilon import EPS
-from pbisim.errors import NotLumpableError, PbisimError, RowSumError
+from pbisim.errors import NotLumpableError, PbisimError, RowSumError, UnknownNameError
 from pbisim import formats
 from pbisim.formats import parse_pts, print_pts
 from pbisim.matrices import NORM_KINDS, class_masses, classification_matrix, lump
@@ -454,6 +454,95 @@ def test_only_pieces_that_need_it_go_to_the_line_reader(monkeypatch):
     parse_pts("\n".join(lines) + "\n")
     # the second piece, which starts before line 3,600, alone
     assert len(read) == 1 and read[0] < 3600
+
+
+# Names of every width from 1 to 24 bytes, each a prefix of the next,
+# names that differ only in the last byte of their first or second uint64
+# word, and action labels on both sides of 8 and 16 bytes.
+WIDE_NAMES = ["s" * w for w in range(1, 25)] + [
+    "abcdefgh", "abcdefgi", "abcdefghabcdefgh", "abcdefghabcdefgi", "t0", "t1"]
+WIDE_ACTIONS = ["a", "a" * 7, "a" * 8, "a" * 9, "b" * 16, "b" * 17]
+# names not declared: longer than every name (and than the column), a
+# prefix of none, and one byte or one word away from a declared name
+UNDECLARED = ["s" * 25, "s" * 40, "abcdefgj", "abcdefghabcdefgj", "abcdefg", "t2", "S", "a" * 2, "b" * 15]
+
+
+def wide_lines(names, actions, seed: int) -> list[str]:
+    """The printed lines of a random system over these names and labels."""
+    pts = gen_random_pts(len(names), actions, 0.6, seed)
+    return print_pts(pts, tuple(names)).splitlines()
+
+
+def spied(monkeypatch, name):
+    """Replace ``formats.<name>`` by a copy that records each result."""
+    calls, real = [], getattr(formats, name)
+
+    def spy(*args):
+        calls.append(real(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(formats, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 64])
+def test_names_of_every_width_are_looked_up_as_the_line_reader_does(chunk, monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(formats, "_CHUNK", chunk)
+    converted = spied(monkeypatch, "_convert")
+    lines = wide_lines(WIDE_NAMES, WIDE_ACTIONS, 2500)
+    assert assert_parses_as_the_line_reader_does("\n".join(lines) + "\n") is None
+    # every piece went through the name lookup
+    assert len(converted) >= (1 if chunk is None else 100) and None not in converted
+    # an undeclared name in each column, on the first transition line, which
+    # starts a piece, and on a later one
+    failures = 0
+    for bad in UNDECLARED:
+        for at in (2, 40):
+            for col in range(3):
+                words = lines[at].split()
+                words[col] = bad
+                edited = lines[:at] + [" ".join(words)] + lines[at + 1:]
+                expected = assert_parses_as_the_line_reader_does("\n".join(edited) + "\n")
+                failures += expected[0] is UnknownNameError and expected[2] == at + 1
+    assert failures == len(UNDECLARED) * 2 * 3
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 64])
+def test_non_ascii_names_and_pieces_parse_as_the_line_reader_does(chunk, monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(formats, "_CHUNK", chunk)
+    converted = spied(monkeypatch, "_convert")
+    names = WIDE_NAMES[::3] + ["\u00e9", "s" * 7 + "\u00e9", "\u03a3" * 5, "z\x00", "z"]
+    lines = wide_lines(names, ["a", "\u00e7" * 4, "b" * 9], 2501)
+    assert assert_parses_as_the_line_reader_does("\n".join(lines) + "\n") is None
+    lines[30] += " # \u00e9"
+    assert assert_parses_as_the_line_reader_does("\n".join(lines) + "\n") is None
+    words = lines[31].split()
+    words[0] = "\u00e9" * 2
+    lines[31] = " ".join(words)
+    expected = assert_parses_as_the_line_reader_does("\n".join(lines) + "\n")
+    assert expected == (UnknownNameError, str(UnknownNameError("\u00e9" * 2, 32)), 32)
+    if chunk is not None:
+        # pieces of ASCII lines alone are converted, the others are not
+        assert None in converted and any(c is not None for c in converted)
+
+
+@pytest.mark.parametrize("fold", ["first word", "constant"])
+def test_a_key_collision_sends_every_piece_to_the_line_reader(fold, monkeypatch):
+    if fold == "first word":
+        monkeypatch.setattr(formats, "_fold", lambda words: words[:, 0])
+    else:
+        monkeypatch.setattr(formats, "_fold", lambda words: np.zeros(len(words), np.uint64))
+    monkeypatch.setattr(formats, "_CHUNK", 64)
+    converted = spied(monkeypatch, "_convert")
+    lines = wide_lines(WIDE_NAMES, WIDE_ACTIONS, 2502)
+    assert assert_parses_as_the_line_reader_does("\n".join(lines) + "\n") is None
+    assert len(converted) >= 100 and set(converted) == {None}
+    for bad in UNDECLARED[:3]:
+        edited = lines[:40] + [lines[40].replace(lines[40].split()[0], bad, 1)] + lines[41:]
+        expected = assert_parses_as_the_line_reader_does("\n".join(edited) + "\n")
+        assert expected == (UnknownNameError, str(UnknownNameError(bad, 41)), 41)
 
 
 def assert_same_system(new, old):

@@ -15,25 +15,30 @@ import random
 import time
 
 import numpy as np
+import pytest
 
 from pbisim import (
     Classification,
     LabelledPTS,
     coarsest_bisimulation,
     is_lumpable,
+    quotient,
 )
 from pbisim import bisim, cli
-from pbisim.core import DEFAULT_TOL
+from pbisim.core import DEFAULT_TOL, disjoint_union
 from pbisim.formats import parse_pts, print_pts
 from pbisim.generators import gen_planted, gen_random_pts, perturb
 
 from helpers import (
     ACTIONS,
+    acceptance_corpus,
     brute_coarsest,
     canonical,
     dense,
     loop_coarsest,
     naive_coarsest,
+    planted_pair,
+    random_pair,
     tolerance_chain,
     tolerance_spread,
 )
@@ -347,3 +352,109 @@ def test_closing_pass_visits_only_unchecked_blocks(monkeypatch):
     assert part == loop_coarsest(lift)
     visited, split = passes[-1]
     assert not split and visited < part.m, (visited, part.m)
+
+
+# --- early exit of are_bisimilar ----------------------------------------------
+
+
+def one_sided(block_of, off: int) -> bool:
+    """Whether some block holds states of one side of the union only."""
+    left = np.bincount(block_of[:off], minlength=block_of.max() + 1)
+    right = np.bincount(block_of[off:], minlength=block_of.max() + 1)
+    return bool(((left > 0) != (right > 0)).any())
+
+
+def verdict_pairs():
+    """The pairs of the acceptance corpus, the renaming tests' pairs, and
+    neighbouring systems of the tolerance parity corpus, each also against
+    a permuted copy of itself."""
+    pairs = [(p1, p2) for _, p1, p2, _, _ in acceptance_corpus()]
+    pairs += [planted_pair(i)[:2] if i % 2 == 0 else random_pair(i) for i in range(12)]
+    systems = parity_corpus(DEFAULT_TOL)
+    pairs += list(zip(systems[::2], systems[1::2]))
+    rng = random.Random(5)
+    pairs += [(pts, permuted(pts, rng)[0]) for pts in systems[::4]]
+    return pairs
+
+
+def test_early_exit_verdicts_match_the_oracles_and_full_refinement():
+    exit_1 = 0
+    for p1, p2 in verdict_pairs():
+        ok, witness = bisim.are_bisimilar(p1, p2)
+        union, off = disjoint_union(p1, p2)
+        oracle = brute_coarsest(union) if union.n <= 8 else naive_coarsest(union)
+        assert ok == (not one_sided(np.array(oracle.assign), off))
+        full = coarsest_bisimulation(union)
+        assert ok == (not one_sided(np.array(full.assign), off))
+        if ok:
+            # the witness of a run to the end
+            assert witness.k1.assign == full.assign[:off] and witness.k2.assign == full.assign[off:]
+            assert witness.m == full.m and witness.quotient == quotient(union, full)
+        else:
+            exit_1 += 1
+            assert witness is None
+    assert exit_1 >= 40
+
+
+def altered_lifts():
+    """Planted lifts of a minimal quotient and of a copy of it in which
+    state 0 moves 2^-10 of its first row's mass to another target."""
+    q = gen_random_pts(12, ACTIONS, 0.8, 9900)
+    assert coarsest_bisimulation(q).m == q.n and q.row[0] == q.row[1]
+    row, dst, prob = q.row, q.dst, q.prob.copy()
+    prob[0], prob[1] = prob[0] - 2**-10, prob[1] + 2**-10
+    altered = LabelledPTS.from_edges(q.n, q.actions, row, dst, prob)
+    rng = random.Random(9901)
+    lift = gen_planted(q, [rng.randint(6, 14) for _ in range(q.n)], 9902)[0]
+    return lift, gen_planted(altered, [rng.randint(2, 4) for _ in range(q.n)], 9903)[0]
+
+
+def recorded_runs(monkeypatch, *runs):
+    """Each run's split_by calls: (batch, probe, result, block_of after)."""
+    calls = []
+    split_by = bisim._Refinement.split_by
+
+    def recorded(self, batch, probe=False):
+        out = split_by(self, batch, probe)
+        calls[-1].append((list(batch), probe, out, self.block_of.copy()))
+        return out
+
+    monkeypatch.setattr(bisim._Refinement, "split_by", recorded)
+    results = []
+    for run in runs:
+        calls.append([])
+        results.append(run())
+    return results, calls
+
+
+@pytest.mark.parametrize("pair", ["altered lifts", "chains"])
+def test_refinement_stops_at_the_first_one_sided_batch(pair, monkeypatch):
+    # the lifts are told apart by the first batch; chains one state apart
+    # in length only by the last split, one state per batch
+    p1, p2 = altered_lifts() if pair == "altered lifts" else (chain(30), chain(31))
+    union, off = disjoint_union(p1, p2)
+    (verdict, full), (early, batches) = recorded_runs(
+        monkeypatch, lambda: bisim.are_bisimilar(p1, p2), lambda: coarsest_bisimulation(union))
+    assert verdict == (False, None) and one_sided(np.array(full.assign), off)
+    assert not one_sided(union.enabled_blocks(), off)
+    # the batches of a run to the end, up to the first one-sided partition
+    assert len(early) < len(batches)
+    for (batch, probe, out, block_of), (batch2, probe2, out2, block_of2) in zip(early, batches):
+        assert (batch, probe, out) == (batch2, probe2, out2) and np.array_equal(block_of, block_of2)
+    sided = [one_sided(block_of, off) for _, _, _, block_of in early]
+    assert sided[-1] and not any(sided[:-1])
+    assert len(early) == 1 if pair == "altered lifts" else len(early) >= 29
+
+
+def test_a_pair_one_sided_by_enabledness_runs_no_batch(monkeypatch):
+    lift, altered = altered_lifts()
+    # a copy of the lift in which one state also enables a fresh action
+    n = lift.n
+    extra = LabelledPTS.from_edges(n, (*lift.actions, "c"), np.append(lift.row, 2 * n),
+                                   np.append(lift.dst, 0), np.append(lift.prob, 1.0))
+    union, off = disjoint_union(lift, extra)
+    assert one_sided(union.enabled_blocks(), off)
+    (verdict, _), (early, full) = recorded_runs(
+        monkeypatch, lambda: bisim.are_bisimilar(lift, extra), lambda: coarsest_bisimulation(union))
+    assert verdict == (False, None)
+    assert early == [] and len(full) > 1
